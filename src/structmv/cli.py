@@ -267,14 +267,14 @@ def params_for(m: StructuredMatrix) -> np.ndarray:
     return kernels.single_level_params(m)
 
 
-def apply_structured(m: StructuredMatrix, v, method: str, fast=False):
+def apply_structured(m: StructuredMatrix, v, method: str):
     """Evaluate by the requested route; returns (result, count)."""
     if method == "program":
         return bilinear.apply(program_for(m), params_for(m), v)
     if method == "direct":
         if isinstance(m, MultilevelRep):
             return multilevel.multilevel_matvec_direct(m, v)
-        return kernels.direct_matvec(m, v, fast=fast)
+        return kernels.direct_matvec(m, v)
     raise FileFormatError(f"unknown method: {method!r}")
 
 
@@ -336,9 +336,10 @@ def cmd_verify(args) -> int:
         v = _gaussian(rng, order(m))
     want = oracle.naive_matvec(oracle.dense(m), v)
     theoretical = param_dim(m)
-    prog_result, prog_count = apply_structured(m, v, "program")
+    program = program_for(m)
+    prog_result, prog_count = bilinear.apply(program, params_for(m), v)
     direct_result, direct_count = apply_structured(m, v, "direct")
-    report = bilinear.prune_check(program_for(m))
+    report = bilinear.prune_check(program)
     err_prog = _rel_err(prog_result, want)
     err_direct = _rel_err(direct_result, want)
     ok = (
@@ -406,15 +407,6 @@ def cmd_count(args) -> int:
     return 0 if ok else 1
 
 
-def _median_ns(fn, reps: int) -> int:
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        fn()
-        times.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(times))
-
-
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.levels:
@@ -434,28 +426,42 @@ def cmd_bench(args) -> int:
             for n in sizes
         ]
     rows = []
+    failures = []
     for name, m in instances:
         total = order(m)
         v = _gaussian(rng, total)
         program = program_for(m)
         params = params_for(m)
-        fast = (total & (total - 1)) == 0
         methods = [
-            ("structured-program",
-             lambda p=program, a=params: bilinear.apply(p, a, v),
-             program.count),
-            ("structured-direct",
-             lambda mm=m: apply_structured(mm, v, "direct", fast=fast),
-             program.count),
+            ("structured-program", lambda: bilinear.apply(program, params, v),
+             param_dim(m)),
+            ("structured-direct", lambda: apply_structured(m, v, "direct"),
+             param_dim(m)),
         ]
+        # every timed result is checked against the oracle, or for orders
+        # too large for it against the other route
         if total <= 4096:
             d = oracle.dense(m)
-            methods.append(
-                ("dense-naive", lambda dd=d: oracle.naive_matvec(dd, v), total * total)
-            )
-        for method, fn, count in methods:
+            want, tol = oracle.naive_matvec(d, v), 1e-9
+            methods.append(("dense-naive",
+                            lambda: (oracle.naive_matvec(d, v), total * total),
+                            total * total))
+        else:
+            want, tol = bilinear.apply(program, params, v)[0], 1e-12
+        for method, fn, expected_count in methods:
             fn()  # warm caches before timing
-            rows.append((name, total, method, _median_ns(fn, args.reps), count))
+            times, errors, counts = [], [], set()
+            for _ in range(args.reps):
+                t0 = time.perf_counter_ns()
+                result, count = fn()
+                times.append(time.perf_counter_ns() - t0)
+                errors.append(_rel_err(result, want))
+                counts.add(count)
+            if max(errors) > tol or counts != {expected_count}:
+                failures.append(f"{name} N={total} {method}: rel error "
+                                f"{max(errors):.3e}, counts {sorted(counts)}, "
+                                f"want {expected_count}")
+            rows.append((name, total, method, int(statistics.median(times)), count))
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     try:
         writer = csv.writer(out)
@@ -464,7 +470,16 @@ def cmd_bench(args) -> int:
     finally:
         if args.csv:
             out.close()
-    return 0
+    for line in failures:
+        print(f"mismatch: {line}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=tuple(s for s in STRUCTURES if s != "multilevel"))
     ben.add_argument("--levels", help="bench one fixed multilevel instance")
     ben.add_argument("--n-max", type=int, default=256)
-    ben.add_argument("--reps", type=int, default=5)
+    ben.add_argument("--reps", type=_positive_int, default=5)
     ben.add_argument("--csv", help="output path (default stdout)")
     ben.add_argument("--density", type=float, default=0.25)
     ben.add_argument("--seed", type=int, default=0)

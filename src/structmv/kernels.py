@@ -37,14 +37,7 @@ from .structures import (
     ToeplitzRep,
     symmetric_pack_index,
 )
-from .transform import (
-    dft,
-    dft_fast,
-    exchange_matrix,
-    fourier_matrix,
-    idft,
-    idft_fast,
-)
+from .transform import dft, exchange_matrix, fourier_matrix, idft
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +46,8 @@ class EmbeddingSpec:
 
     ``matrix`` maps the 2n-1 Toeplitz parameters to the circulant's first
     row (t_n..t_{2n-1}, b, t_1..t_{n-1} in 1-indexed terms) with
-    b = -sum(t), so the first row always sums to zero.
+    b = -sum(t), so the first row always sums to zero.  The program
+    builders use ``matrix``; :meth:`embed` applies it by indexing.
     """
 
     n: int
@@ -62,10 +56,17 @@ class EmbeddingSpec:
     def embed(self, param, b=None) -> np.ndarray:
         """First row of the embedding circulant; ``b`` overrides the free
         entry (the product's first n outputs do not depend on it)."""
+        n = self.n
         param = np.asarray(param, dtype=complex).reshape(-1)
-        c = self.matrix @ param
-        if b is not None:
-            c[self.n] = b
+        if len(param) != 2 * n - 1:
+            raise ValueError(
+                f"toeplitz of order {n} needs {2 * n - 1} parameters, "
+                f"got {len(param)}"
+            )
+        c = np.empty(2 * n, dtype=complex)
+        c[:n] = param[n - 1:]
+        c[n] = -param.sum() if b is None else b
+        c[n + 1:] = param[:n - 1]
         return c
 
 
@@ -313,100 +314,105 @@ def tph_gauge_embed(n: int) -> np.ndarray:
 # direct paths
 # ---------------------------------------------------------------------------
 
-def _transforms(fast: bool):
-    return (dft_fast, idft_fast) if fast else (dft, idft)
-
-
-def _circulant_steps(a, v, skip=(), fast=False):
-    """Transform both sides, multiply pointwise over the non-skipped slots,
-    transform back.  Returns (product, genuine multiplication count)."""
-    fwd, inv = _transforms(fast)
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if len(a) != len(v):
+def _circulant_steps(c, x, first=0):
+    """Transform both sides, multiply pointwise over slots ``first`` and
+    up, transform back.  Slots below ``first`` are structurally zero and
+    are neither formed nor counted.  Returns (product, genuine
+    multiplication count)."""
+    c = np.asarray(c, dtype=complex).reshape(-1)
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    if len(c) != len(x):
         raise ValueError(
-            f"circulant order {len(a)} does not match vector length {len(v)}"
+            f"circulant order {len(c)} does not match vector length {len(x)}"
         )
-    a_hat = fwd(a)
-    v_hat = inv(v)
-    mask = np.ones(len(a), dtype=bool)
-    for s in skip:
-        mask[s] = False
-    prod = np.zeros(len(a), dtype=complex)
-    prod[mask] = a_hat[mask] * v_hat[mask]
-    return fwd(prod), int(mask.sum())
+    prod = dft(c)
+    prod[:first] = 0
+    prod[first:] *= idft(x)[first:]
+    return dft(prod), len(c) - first
 
 
-def _toeplitz_steps(param, v, b=None, extra_skip=(), fast=False):
-    param = np.asarray(param, dtype=complex).reshape(-1)
+def _toeplitz_steps(param, v, b=None, first=1):
+    """Frequency 0 is structurally zero only for the default ``b``, so a
+    caller that sets ``b`` passes ``first=0``; Toeplitz-plus-Hankel skips
+    frequency 1 as well with ``first=2``."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     n = len(v)
-    if len(param) != 2 * n - 1:
-        raise ValueError(
-            f"toeplitz of order {n} needs {2 * n - 1} parameters, got {len(param)}"
-        )
     c = toeplitz_embedding(n).embed(param, b=b)
     padded = np.concatenate([v, np.zeros(n, dtype=complex)])
-    # frequency 0 is only structurally zero for the default choice of b
-    skip = ((0,) if b is None else ()) + tuple(extra_skip)
-    z, count = _circulant_steps(c, padded, skip=skip, fast=fast)
+    z, count = _circulant_steps(c, padded, first)
     return z[:n], count
 
 
-def _hankel_steps(param, v, extra_skip=(), fast=False):
+def _hankel_steps(param, v):
     param = np.asarray(param, dtype=complex).reshape(-1)
-    reversed_param = np.ascontiguousarray(param[::-1])
-    z, count = _toeplitz_steps(reversed_param, v, extra_skip=extra_skip, fast=fast)
+    z, count = _toeplitz_steps(param[::-1], v)
     return z[::-1], count
 
 
-def _hankel_dense(param, n):
-    return param[2 * n - 2 - (np.arange(n)[:, None] + np.arange(n)[None, :])]
-
-
-def _symmetric_dense(param, n):
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = param[symmetric_pack_index(n, i, j)]
+@lru_cache(maxsize=64)
+def _border_index(n: int) -> np.ndarray:
+    """Packed indices of the border of every shell of an order-n symmetric
+    matrix, shell after shell, in Hankel parameter order: shell k's border
+    is row k and column n-1-k, and its parameter q sits on anti-diagonal
+    i + j = 2n-2-2k-q."""
+    index = []
+    for k in range((n + 1) // 2):
+        for s in range(2 * n - 2 - 2 * k, 2 * k - 1, -1):
+            i = max(k, s - (n - 1 - k))
+            index.append(symmetric_pack_index(n, i, s - i))
+    out = np.array(index, dtype=np.intp)
+    out.setflags(write=False)
     return out
 
 
-def _border_hankel_params(mat):
-    """Hankel parameters matching a square matrix's first row and last
-    column."""
-    nk = mat.shape[0]
-    h = np.empty(2 * nk - 1, dtype=complex)
-    h[:nk] = mat[::-1, nk - 1]
-    h[nk - 1:] = mat[0, ::-1]
-    return h
+def symmetric_shells(param, n: int):
+    """Yield (k, Hankel parameters of shell k) for the ceil(n/2) shells
+    peeled off the border of an order-n symmetric matrix.
+
+    Shell k has order n-2k and sits at offset k; the shells sum to the
+    matrix.  The shells peeled before shell k are Hankel, so their sum is
+    constant along each anti-diagonal, and it equals the matrix on shell
+    k-1's border, which the peel left zero.  So shell k is its border minus
+    shell k-1's border on the same anti-diagonals: O(n^2) work in all.
+    """
+    param = np.asarray(param, dtype=complex).reshape(-1)
+    if len(param) != n * (n + 1) // 2:
+        raise ValueError(
+            f"symmetric of order {n} needs {n * (n + 1) // 2} parameters, "
+            f"got {len(param)}"
+        )
+    borders = param[_border_index(n)]
+    previous = np.zeros(2 * n + 3, dtype=complex)
+    start = 0
+    for k in range((n + 1) // 2):
+        border = borders[start:start + 2 * (n - 2 * k) - 1]
+        yield k, border - previous[2:-2]
+        previous, start = border, start + len(border)
 
 
-def _symmetric_steps(param, n, v, fast=False):
+def _symmetric_steps(param, n, v):
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if len(v) != n:
+        raise ValueError(
+            f"symmetric order {n} does not match vector length {len(v)}"
+        )
     z = np.zeros(n, dtype=complex)
     count = 0
-    residual = _symmetric_dense(param, n)
-    segment = np.asarray(v, dtype=complex).reshape(-1)
-    for k in range((n + 1) // 2):
-        nk = n - 2 * k
-        shell = _border_hankel_params(residual)
-        w, c = _hankel_steps(shell, segment, fast=fast)
-        z[k:k + nk] += w
+    for k, shell in symmetric_shells(param, n):
+        w, c = _hankel_steps(shell, v[k:n - k])
+        z[k:n - k] += w
         count += c
-        if nk > 2:
-            residual = (residual - _hankel_dense(shell, nk))[1:-1, 1:-1]
-            segment = segment[1:-1]
     return z, count
 
 
-def _tph_steps(t_param, h_param, v, fast=False):
+def _tph_steps(t_param, h_param, v):
     t_param = np.asarray(t_param, dtype=complex).reshape(-1)
     h_param = np.asarray(h_param, dtype=complex).reshape(-1)
     n = (len(t_param) + 1) // 2
     shift = tph_alpha(n) @ t_param
-    z_h, c_h = _hankel_steps(h_param + shift, v, fast=fast)
+    z_h, c_h = _hankel_steps(h_param + shift, v)
     # the shifted Toeplitz part also has a vanishing frequency-1 slot
-    z_t, c_t = _toeplitz_steps(t_param - shift, v, extra_skip=(1,), fast=fast)
+    z_t, c_t = _toeplitz_steps(t_param - shift, v, first=2)
     return z_h + z_t, c_h + c_t
 
 
@@ -430,7 +436,7 @@ def direct_circulant_matvec(rep: CirculantRep, v) -> np.ndarray:
 def direct_toeplitz_matvec(rep: ToeplitzRep, v, b=None) -> np.ndarray:
     """Circulant embedding of twice the order applied to the zero-padded
     vector; the first n outputs are the product for any choice of ``b``."""
-    return _toeplitz_steps(rep.param, v, b=b)[0]
+    return _toeplitz_steps(rep.param, v, b=b, first=1 if b is None else 0)[0]
 
 
 def direct_hankel_matvec(rep: HankelRep, v) -> np.ndarray:
@@ -483,18 +489,18 @@ def single_level_params(m: StructuredMatrix) -> np.ndarray:
     return np.asarray(m.param, dtype=complex)
 
 
-def direct_matvec(m: StructuredMatrix, v, fast=False) -> tuple[np.ndarray, int]:
+def direct_matvec(m: StructuredMatrix, v) -> tuple[np.ndarray, int]:
     """Direct-path product and its genuine multiplication count."""
     if isinstance(m, CirculantRep):
-        return _circulant_steps(m.param, v, fast=fast)
+        return _circulant_steps(m.param, v)
     if isinstance(m, ToeplitzRep):
-        return _toeplitz_steps(m.param, v, fast=fast)
+        return _toeplitz_steps(m.param, v)
     if isinstance(m, HankelRep):
-        return _hankel_steps(m.param, v, fast=fast)
+        return _hankel_steps(m.param, v)
     if isinstance(m, SymmetricRep):
-        return _symmetric_steps(m.param, m.n, v, fast=fast)
+        return _symmetric_steps(m.param, m.n, v)
     if isinstance(m, ToeplitzPlusHankelRep):
-        return _tph_steps(m.toeplitz.param, m.hankel.param, v, fast=fast)
+        return _tph_steps(m.toeplitz.param, m.hankel.param, v)
     if isinstance(m, SparseRep):
         return _sparse_steps(m, v)
     raise TypeError(f"no single-level direct path for {type(m).__name__}")

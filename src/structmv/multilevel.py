@@ -12,7 +12,8 @@ counted.
 
 from __future__ import annotations
 
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -68,6 +69,21 @@ def multilevel_program(m: MultilevelRep) -> BilinearProgram:
     return reduce(bilinear.kron, [level_program(level) for level in m.levels])
 
 
+@dataclass(frozen=True)
+class _TailShape:
+    """Levels after the head, hashed and compared by ``key``: what their
+    program depends on, each level's structure and order and a sparse
+    level's support, but no parameter value."""
+
+    key: tuple
+    levels: tuple = field(compare=False)
+
+
+@lru_cache(maxsize=32)
+def _tail_program(shape: _TailShape) -> BilinearProgram:
+    return multilevel_program(MultilevelRep(shape.levels))
+
+
 def _psi_blocks(v, n_head, tail: BilinearProgram) -> np.ndarray:
     """psi[k, t]: tail vector-encode of the k-th block of v."""
     blocks = np.asarray(v, dtype=complex).reshape(n_head, tail.n_in)
@@ -120,17 +136,11 @@ def _head_symmetric(param, n_head, tail, phi_b, v):
     n_tail = tail.n_in
     z = np.zeros(n_head * n_tail, dtype=complex)
     count = 0
-    residual = kernels._symmetric_dense(param, n_head)
-    segment = np.asarray(v, dtype=complex).reshape(-1)
-    for k in range((n_head + 1) // 2):
-        nk = n_head - 2 * k
-        shell = kernels._border_hankel_params(residual)
-        w, c = _head_hankel(shell, tail, phi_b, segment)
-        z[k * n_tail:(k + nk) * n_tail] += w
+    for k, shell in kernels.symmetric_shells(param, n_head):
+        rows = slice(k * n_tail, (n_head - k) * n_tail)
+        w, c = _head_hankel(shell, tail, phi_b, v[rows])
+        z[rows] += w
         count += c
-        if nk > 2:
-            residual = (residual - kernels._hankel_dense(shell, nk))[1:-1, 1:-1]
-            segment = segment[n_tail:-n_tail]
     return z, count
 
 
@@ -170,7 +180,9 @@ def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:
     if len(m.levels) == 1:
         return kernels.direct_matvec(head, v)
     tail_rep = MultilevelRep(m.levels[1:])
-    tail = multilevel_program(tail_rep)
+    key = tuple((type(level), level.pattern if isinstance(level, SparseRep)
+                 else level.n) for level in tail_rep.levels)
+    tail = _tail_program(_TailShape(key, tail_rep.levels))
     phi_b = tail.enc_param @ param_vector(tail_rep)
     if isinstance(head, CirculantRep):
         head_mask = np.ones(head.n, dtype=bool)

@@ -2,9 +2,11 @@
 
 The Fourier matrix used throughout has the positive-exponent kernel
 ``W[r, c] = exp(2*pi*i*r*c/n)``; it is symmetric, and its inverse is
-``conj(W)/n``.  The reference transforms apply W directly in O(n^2); a
-radix-2 fast path is available for power-of-two sizes and is used only
-when benchmarking.
+``conj(W)/n``.  The program builders use W itself as a dense map.  The
+transforms :func:`dft` and :func:`idft` apply W and its inverse in
+O(n log n) with numpy's FFT; in numpy's negative-exponent convention
+``W @ x`` is ``n * ifft(x)``.  Transform entries are constants, so the
+transforms cost no genuine multiplications.
 """
 
 from __future__ import annotations
@@ -39,66 +41,18 @@ def exchange_matrix(n: int) -> np.ndarray:
 
 
 def dft(x) -> np.ndarray:
-    """Unnormalized forward transform W @ x."""
+    """Unnormalized forward transform W @ x, along the first axis."""
     x = np.asarray(x, dtype=complex)
-    return fourier_matrix(len(x)) @ x
+    return len(x) * np.fft.ifft(x, axis=0)
 
 
 def idft(x) -> np.ndarray:
-    """True inverse transform W^{-1} @ x = conj(W) @ x / n."""
+    """True inverse transform W^{-1} @ x = conj(W) @ x / n, along the first
+    axis."""
     x = np.asarray(x, dtype=complex)
-    n = len(x)
-    return np.conj(fourier_matrix(n)) @ x / n
+    return np.fft.fft(x, axis=0) / len(x)
 
 
 def exchange_apply(x) -> np.ndarray:
     """Reverse coordinate order (left-multiplication by J)."""
     return np.asarray(x, dtype=complex)[::-1].copy()
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-@lru_cache(maxsize=None)
-def _bit_reverse(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((np.arange(n) >> b) & 1) << (bits - 1 - b)
-    rev.setflags(write=False)
-    return rev
-
-
-def dft_fast(x) -> np.ndarray:
-    """Radix-2 evaluation of W @ x for power-of-two sizes.
-
-    Falls back to the reference path otherwise.  Agrees with :func:`dft`
-    to machine precision; used by the benchmark mode only.
-    """
-    x = np.asarray(x, dtype=complex)
-    n = len(x)
-    if not _is_pow2(n):
-        return dft(x)
-    out = x[_bit_reverse(n)] if n > 1 else x.copy()
-    m = 2
-    while m <= n:
-        half = m // 2
-        # positive-exponent twiddles to match the W convention
-        tw = np.exp(2j * np.pi * np.arange(half) / m)
-        blocks = out.reshape(-1, m)
-        u = blocks[:, :half].copy()
-        t = blocks[:, half:] * tw
-        blocks[:, :half] = u + t
-        blocks[:, half:] = u - t
-        m *= 2
-    return out
-
-
-def idft_fast(x) -> np.ndarray:
-    """Radix-2 evaluation of W^{-1} @ x; see :func:`dft_fast`."""
-    x = np.asarray(x, dtype=complex)
-    n = len(x)
-    if not _is_pow2(n):
-        return idft(x)
-    return np.conj(dft_fast(np.conj(x))) / n

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import structmv as sm
-from structmv import cli
+from structmv import cli, kernels, multilevel
 from util import run_cli
 
 
@@ -158,6 +158,24 @@ def test_verify_impossible_tolerance_reports_error(tmp_path):
     assert "rel error" in r.stdout
 
 
+def test_verify_builds_the_program_once(tmp_path, monkeypatch, capsys):
+    gen = run_cli(["gen", "--structure", "multilevel", "--levels",
+                   "toeplitz:3,circulant:2,hankel:2", "-o", "m.json"], tmp_path)
+    assert gen.returncode == 0
+    full_builds = []
+    real = multilevel.multilevel_program
+
+    def counting(m):
+        if len(m.levels) == 3:
+            full_builds.append(m)
+        return real(m)
+
+    monkeypatch.setattr(multilevel, "multilevel_program", counting)
+    assert cli.main(["verify", str(tmp_path / "m.json")]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(full_builds) == 1
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
@@ -215,6 +233,58 @@ def test_bench_csv_format(tmp_path):
     for method in methods:
         ns = [int(row["N"]) for row in rows if row["method"] == method]
         assert ns == sorted(ns)
+
+
+def test_bench_records_the_direct_count(tmp_path, monkeypatch, capsys):
+    real = kernels.direct_matvec
+
+    def one_extra(m, v):
+        result, count = real(m, v)
+        return result, count + 1
+
+    monkeypatch.setattr(kernels, "direct_matvec", one_extra)
+    csv_path = tmp_path / "bench.csv"
+    code = cli.main(["bench", "--structure", "toeplitz", "--n-max", "4",
+                     "--reps", "2", "--csv", str(csv_path)])
+    assert code == 1
+    assert "mismatch" in capsys.readouterr().err
+    with open(csv_path, newline="") as fh:
+        rows = [row for row in csv.DictReader(fh)
+                if row["method"] == "structured-direct"]
+    assert [int(row["mult_count"]) for row in rows] == [4, 8]
+
+
+@pytest.mark.parametrize("instance", [
+    ["--structure", "hankel", "--n-max", "8"],
+    # order 8192 is past the oracle, so the check is against the program
+    ["--levels", "sparse:64,sparse:128", "--density", "0.002"],
+])
+def test_bench_fails_on_a_wrong_result(tmp_path, monkeypatch, capsys, instance):
+    def perturbed(real):
+        def route(m, v):
+            result, count = real(m, v)
+            result = result.copy()
+            result[np.argmax(np.abs(result))] *= 1 + 1e-6
+            return result, count
+        return route
+
+    monkeypatch.setattr(kernels, "direct_matvec", perturbed(kernels.direct_matvec))
+    monkeypatch.setattr(multilevel, "multilevel_matvec_direct",
+                        perturbed(multilevel.multilevel_matvec_direct))
+    code = cli.main(["bench", *instance, "--reps", "1",
+                     "--csv", str(tmp_path / "b.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "structured-direct" in err and "mismatch" in err
+    assert "structured-program" not in err
+
+
+def test_bench_rejects_reps_below_one(tmp_path):
+    for reps in ("0", "-3"):
+        r = run_cli(["bench", "--n-max", "4", "--reps", reps], tmp_path)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert "--reps" in r.stderr.strip().splitlines()[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,23 @@ def test_toeplitz_count_is_2n_minus_1():
         assert kernels.toeplitz_program(n).count == 2 * n - 1
 
 
+def test_embed_applies_embedding_matrix():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 8, 31):
+        emb = kernels.toeplitz_embedding(n)
+        param = gaussian(rng, 2 * n - 1)
+        want = emb.matrix @ param
+        np.testing.assert_allclose(emb.embed(param), want, rtol=0, atol=1e-12)
+        b = gaussian(rng, 1)[0]
+        want[n] = b
+        np.testing.assert_array_equal(emb.embed(param, b), want)
+
+
+def test_embed_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        kernels.toeplitz_embedding(3).embed(np.ones(4))
+
+
 def test_embedding_first_row_sums_to_zero():
     rng = np.random.default_rng(0)
     for n in (1, 2, 5, 9):
@@ -134,6 +151,16 @@ def test_symmetric_shells_reconstruct_matrix():
         assert np.abs(total - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def _border_hankel_params(mat):
+    """Hankel parameters matching a square matrix's first row and last
+    column."""
+    nk = mat.shape[0]
+    h = np.empty(2 * nk - 1, dtype=complex)
+    h[:nk] = mat[::-1, nk - 1]
+    h[nk - 1:] = mat[0, ::-1]
+    return h
+
+
 def test_symmetric_residual_borders_vanish():
     # peeling by values (the direct path) zeroes the border exactly; the
     # linear-map route agrees to roundoff
@@ -144,7 +171,7 @@ def test_symmetric_residual_borders_vanish():
     scale = np.abs(residual).max()
     for k, shell_map in enumerate(kernels.symmetric_shell_maps(n)):
         nk = n - 2 * k
-        exact = kernels._border_hankel_params(residual)
+        exact = _border_hankel_params(residual)
         mapped = shell_map @ rep.param
         assert np.abs(mapped - exact).max() <= 1e-12 * scale
         peeled = residual - oracle.dense(sm.HankelRep(nk, exact))
@@ -295,15 +322,18 @@ def test_program_and_direct_match_oracle(structure):
             assert count == dcount == sm.param_dim(m)
 
 
-def test_direct_matvec_fast_path_agrees():
-    rng = np.random.default_rng(9)
-    for structure in SINGLE_LEVEL:
-        m = random_instance(structure, 8, rng)
-        v = gaussian(rng, 8)
-        slow, c1 = kernels.direct_matvec(m, v)
-        fast, c2 = kernels.direct_matvec(m, v, fast=True)
-        assert c1 == c2
-        assert rel_err(fast, slow) < 1e-12
+def test_symmetric_direct_sweep():
+    rng = np.random.default_rng(10)
+    for n in range(1, 25):
+        m = random_instance("symmetric", n, rng)
+        v = gaussian(rng, n)
+        got, count = kernels.direct_matvec(m, v)
+        assert rel_err(got, oracle.dense(m) @ v) < 1e-9
+        assert count == sm.param_dim(m)
+        if n <= 12:  # the peel agrees with the program's shell maps
+            maps = kernels.symmetric_shell_maps(n)
+            for k, shell in kernels.symmetric_shells(m.param, n):
+                assert rel_err(shell, maps[k] @ m.param) < 1e-12
 
 
 def test_direct_matvec_rejects_length_mismatch():

@@ -196,3 +196,37 @@ def test_single_level_multilevel_direct_matches_kernels():
     want, wcount = kernels.direct_matvec(rep, v)
     np.testing.assert_array_equal(out, want)
     assert count == wcount == 15
+
+
+def test_symmetric_head_sweep():
+    rng = np.random.default_rng(12)
+    for n_head in range(1, 7):
+        for tail in (sm.CirculantRep(2, gaussian(rng, 2)),
+                     sm.ToeplitzRep(3, gaussian(rng, 5)),
+                     sm.HankelRep(2, gaussian(rng, 3))):
+            m = sm.MultilevelRep((random_instance("symmetric", n_head, rng), tail))
+            v = gaussian(rng, sm.order(m))
+            got, count = multilevel.multilevel_matvec_direct(m, v)
+            assert rel_err(got, oracle.dense(m) @ v) < 1e-9
+            assert count == sm.param_dim(m)
+
+
+def test_direct_builds_each_tail_shape_once(monkeypatch):
+    builds = []
+    real = multilevel.multilevel_program
+
+    def counting(m):
+        builds.append(len(m.levels))
+        return real(m)
+
+    monkeypatch.setattr(multilevel, "multilevel_program", counting)
+    multilevel._tail_program.cache_clear()
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        m = sm.MultilevelRep((random_instance("toeplitz", 3, rng),
+                              random_instance("circulant", 2, rng),
+                              random_instance("hankel", 2, rng)))
+        v = gaussian(rng, sm.order(m))
+        got, _ = multilevel.multilevel_matvec_direct(m, v)
+        assert rel_err(got, oracle.dense(m) @ v) < 1e-9
+    assert builds == [2]
