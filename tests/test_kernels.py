@@ -322,6 +322,22 @@ def test_program_and_direct_match_oracle(structure):
             assert count == dcount == sm.param_dim(m)
 
 
+def test_direct_matvec_fast_path_agrees():
+    # the np.fft direct route against the dense-Fourier program route
+    rng = np.random.default_rng(9)
+    for structure in SINGLE_LEVEL:
+        for n in (8, 16, 32):
+            m = random_instance(structure, n, rng)
+            v = gaussian(rng, n)
+            slow, c1 = bilinear.apply(
+                kernels.single_level_program(m),
+                kernels.single_level_params(m), v
+            )
+            fast, c2 = kernels.direct_matvec(m, v)
+            assert c1 == c2
+            assert rel_err(fast, slow) < 1e-12
+
+
 def test_symmetric_direct_sweep():
     rng = np.random.default_rng(10)
     for n in range(1, 25):
