@@ -63,6 +63,15 @@ class FileFormatError(ValueError):
 # file formats
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def _pairs_to_complex(pairs, what: str) -> np.ndarray:
     if not isinstance(pairs, list):
         raise FileFormatError(f"{what} must be an array of [re, im] pairs")
@@ -71,7 +80,7 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)
+            or not all(_is_number(x) for x in pair)
         ):
             raise FileFormatError(f"{what}[{k}] is not a [re, im] pair")
         out[k] = complex(pair[0], pair[1])
@@ -118,7 +127,7 @@ def matrix_from_obj(obj) -> StructuredMatrix:
         validate(m)
         return m
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FileFormatError(f"'n' must be a positive integer, got {n!r}")
     if tag == "toeplitz_plus_hankel":
         m = ToeplitzPlusHankelRep(
@@ -134,7 +143,7 @@ def matrix_from_obj(obj) -> StructuredMatrix:
         for k, entry in enumerate(raw):
             if not isinstance(entry, dict) or not {"i", "j", "v"} <= set(entry):
                 raise FileFormatError(f"entries[{k}] must have keys i, j, v")
-            if not isinstance(entry["i"], int) or not isinstance(entry["j"], int):
+            if not _is_int(entry["i"]) or not _is_int(entry["j"]):
                 raise FileFormatError(f"entries[{k}] indices must be integers")
             support.append((entry["i"], entry["j"]))
             values[k] = _pairs_to_complex([entry["v"]], f"entries[{k}].v")[0]
@@ -161,7 +170,7 @@ def vector_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise FileFormatError("vector document must be a JSON object")
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FileFormatError(f"'n' must be a positive integer, got {n!r}")
     v = _pairs_to_complex(obj.get("v"), "v")
     if len(v) != n:
@@ -482,6 +491,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _density(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -497,9 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a pseudorandom instance file")
     gen.add_argument("--structure", required=True,
                      choices=STRUCTURES + ("vector",))
-    gen.add_argument("--n", type=int)
+    gen.add_argument("--n", type=_positive_int)
     gen.add_argument("--levels", help="multilevel spec, e.g. circulant:2,toeplitz:3")
-    gen.add_argument("--density", type=float, default=0.25,
+    gen.add_argument("--density", type=_density, default=0.25,
                      help="sparse support density (default 0.25)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", help="output path (default stdout)")
@@ -525,9 +541,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cnt.add_argument("--structure", default="all",
                      choices=tuple(s for s in STRUCTURES if s != "multilevel")
                      + ("all",))
-    cnt.add_argument("--n", type=int, default=1, help="first order (default 1)")
-    cnt.add_argument("--n-max", type=int, help="last order (default --n)")
-    cnt.add_argument("--density", type=float, default=0.25)
+    cnt.add_argument("--n", type=_positive_int, default=1,
+                     help="first order (default 1)")
+    cnt.add_argument("--n-max", type=_positive_int, help="last order (default --n)")
+    cnt.add_argument("--density", type=_density, default=0.25)
     cnt.add_argument("--seed", type=int, default=0)
     cnt.set_defaults(fn=cmd_count)
 
@@ -538,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--n-max", type=int, default=256)
     ben.add_argument("--reps", type=_positive_int, default=5)
     ben.add_argument("--csv", help="output path (default stdout)")
-    ben.add_argument("--density", type=float, default=0.25)
+    ben.add_argument("--density", type=_density, default=0.25)
     ben.add_argument("--seed", type=int, default=0)
     ben.set_defaults(fn=cmd_bench)
 

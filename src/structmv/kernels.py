@@ -20,12 +20,13 @@ multiplication.  Sparse is the usual support-driven matvec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import bilinear
 from .bilinear import BilinearProgram
+from .operators import Dense, Fourier, Select, VStack, compose
 from .structures import (
     CirculantRep,
     HankelRep,
@@ -37,21 +38,26 @@ from .structures import (
     ToeplitzRep,
     symmetric_pack_index,
 )
-from .transform import dft, exchange_matrix, fourier_matrix, idft
+from .transform import dft, idft
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingSpec:
     """Embedding of an order-n Toeplitz matrix into an order-2n circulant.
 
-    ``matrix`` maps the 2n-1 Toeplitz parameters to the circulant's first
-    row (t_n..t_{2n-1}, b, t_1..t_{n-1} in 1-indexed terms) with
-    b = -sum(t), so the first row always sums to zero.  The program
-    builders use ``matrix``; :meth:`embed` applies it by indexing.
+    ``op`` maps the 2n-1 Toeplitz parameters to the circulant's first row
+    (t_n..t_{2n-1}, b, t_1..t_{n-1} in 1-indexed terms) with b = -sum(t),
+    so the first row always sums to zero.  The program builders use ``op``;
+    :meth:`embed` applies it by slicing, with an optional other ``b``.
     """
 
     n: int
-    matrix: np.ndarray
+    op: Select
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """``op`` as a dense (2n, 2n-1) matrix, for reference checks."""
+        return self.op.to_dense()
 
     def embed(self, param, b=None) -> np.ndarray:
         """First row of the embedding circulant; ``b`` overrides the free
@@ -70,104 +76,104 @@ class EmbeddingSpec:
         return c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def toeplitz_embedding(n: int) -> EmbeddingSpec:
-    m = np.zeros((2 * n, 2 * n - 1))
-    m[np.arange(n), n - 1 + np.arange(n)] = 1.0
-    m[n, :] = -1.0
-    m[n + np.arange(1, n), np.arange(n - 1)] = 1.0
-    m.setflags(write=False)
-    return EmbeddingSpec(n=n, matrix=m)
+    rows = np.concatenate([np.arange(n), np.full(2 * n - 1, n),
+                           n + np.arange(1, n)])
+    cols = np.concatenate([n - 1 + np.arange(n), np.arange(2 * n - 1),
+                           np.arange(n - 1)])
+    vals = np.concatenate([np.ones(n), -np.ones(2 * n - 1), np.ones(n - 1)])
+    return EmbeddingSpec(n=n, op=Select((2 * n, 2 * n - 1), rows, cols, vals))
+
+
+def _exchange(n: int) -> Select:
+    """Anti-diagonal permutation J reversing coordinate order."""
+    return Select.take(n, np.arange(n)[::-1])
 
 
 # ---------------------------------------------------------------------------
 # program builders
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def circulant_program(n: int) -> BilinearProgram:
     """n multiplications: pointwise product of the two transforms.
 
     enc_param = W, enc_vec = conj(W) (= n W^{-1}), dec = W/n, so that
     dec @ ((W a) * (conj(W) v)) is exactly the circulant product.
     """
-    w = fourier_matrix(n)
     return BilinearProgram(
-        enc_param=w,
-        enc_vec=np.conj(w),
-        dec=w / n,
+        enc_param=Fourier(n),
+        enc_vec=Fourier(n, conj=True),
+        dec=Fourier(n, scale=1 / n),
         active=np.ones(n, dtype=bool),
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def toeplitz_program(n: int) -> BilinearProgram:
     """2n-1 multiplications via the order-2n circulant embedding.
 
     The slots are the 2n circulant frequencies; frequency 0 is inactive
-    because the embedded first row sums to zero identically.
+    because the embedded first row sums to zero identically.  The vector
+    is zero-padded to 2n and the first n outputs are kept.
     """
     cp = circulant_program(2 * n)
-    emb = toeplitz_embedding(n)
+    first_n = Select.take(2 * n, np.arange(n))
     active = np.ones(2 * n, dtype=bool)
     active[0] = False
     return BilinearProgram(
-        enc_param=cp.enc_param @ emb.matrix,
-        enc_vec=cp.enc_vec[:, :n],
-        dec=cp.dec[:n, :],
+        enc_param=compose(cp.enc_param, toeplitz_embedding(n).op),
+        enc_vec=compose(cp.enc_vec, first_n.T),
+        dec=compose(first_n, cp.dec),
         active=active,
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def hankel_program(n: int) -> BilinearProgram:
     """2n-1 multiplications: Toeplitz on reversed parameters, output reversed."""
     return bilinear.conjugate_by(
         toeplitz_program(n),
-        pre_param=exchange_matrix(2 * n - 1),
-        pre_vec=np.eye(n),
-        post=exchange_matrix(n),
+        pre_param=_exchange(2 * n - 1),
+        pre_vec=None,
+        post=_exchange(n),
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def symmetric_shell_maps(n: int) -> tuple:
-    """Linear maps from packed symmetric parameters to each shell's Hankel
+    """Index maps from packed symmetric parameters to each shell's Hankel
     parameters.
 
     Shell k (k = 0, 1, ...) is the Hankel matrix matching the first row and
     last column of the order n-2k residual; subtracting it zeroes the
     residual's border, and the sum of the re-embedded shells reconstructs
-    the symmetric matrix.  Returns ceil(n/2) matrices of shape
-    (2(n-2k)-1, n(n+1)/2).
+    the symmetric matrix.  As :func:`symmetric_shells` shows, shell k is its
+    border minus shell k-1's border on the same anti-diagonals, so its map
+    is the difference of two 0/1 selections.  Returns ceil(n/2) operators
+    of shape (2(n-2k)-1, n(n+1)/2).
     """
     dim = n * (n + 1) // 2
+    index = _border_index(n)
     maps = []
-    packed_map = np.eye(dim)  # packed residual k in terms of the original
-    nk = n
-    shells = (n + 1) // 2
-    for k in range(shells):
-        sub = nk * (nk + 1) // 2
-        extract = np.zeros((2 * nk - 1, sub))
-        for q in range(nk):  # h[q] = residual[nk-1-q, nk-1]
-            extract[q, symmetric_pack_index(nk, nk - 1 - q, nk - 1)] = 1.0
-        for q in range(nk, 2 * nk - 1):  # h[q] = residual[0, 2nk-2-q]
-            extract[q, symmetric_pack_index(nk, 0, 2 * nk - 2 - q)] = 1.0
-        maps.append(extract @ packed_map)
-        if k + 1 < shells:
-            inner = nk - 2
-            peel = np.zeros((inner * (inner + 1) // 2, sub))
-            for i in range(inner):
-                for j in range(i, inner):
-                    row = symmetric_pack_index(inner, i, j)
-                    peel[row, symmetric_pack_index(nk, i + 1, j + 1)] += 1.0
-                    peel[row, :] -= extract[2 * nk - 4 - i - j, :]
-            packed_map = peel @ packed_map
-            nk = inner
+    previous = np.empty(0, dtype=np.intp)
+    start = 0
+    for k in range((n + 1) // 2):
+        length = 2 * (n - 2 * k) - 1
+        border = index[start:start + length]
+        rows = np.arange(length)
+        maps.append(Select(
+            (length, dim),
+            np.concatenate([rows, rows[:len(previous)]]),
+            np.concatenate([border, previous]),
+            np.concatenate([np.ones(length), -np.ones(len(previous))]),
+        ))
+        previous, start = border[2:-2], start + length
     return tuple(maps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def symmetric_program(n: int) -> BilinearProgram:
     """n(n+1)/2 multiplications: a Hankel program per peeled shell.
 
@@ -180,33 +186,34 @@ def symmetric_program(n: int) -> BilinearProgram:
     pieces = []
     for k, shell_map in enumerate(symmetric_shell_maps(n)):
         nk = n - 2 * k
-        hp = hankel_program(nk)
-        select = np.zeros((nk, n))
-        select[np.arange(nk), k + np.arange(nk)] = 1.0
-        part = bilinear.conjugate_by(
-            hp, pre_param=shell_map, pre_vec=select, post=select.T
-        )
-        pieces.append(bilinear.drop_inactive(part))
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = bilinear.add(out, piece)
-    return out
+        segment = Select.take(n, k + np.arange(nk))
+        pieces.append(bilinear.conjugate_by(
+            hankel_program(nk), pre_param=shell_map, pre_vec=segment,
+            post=segment.T
+        ))
+    return bilinear.drop_inactive(reduce(bilinear.add, pieces))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def tph_alpha(n: int) -> np.ndarray:
     """Row functional giving the all-ones shift for Toeplitz-plus-Hankel.
 
     alpha @ t is the frequency-1 transform coefficient of the Toeplitz
     embedding divided by 2n; subtracting (alpha @ t) times the all-ones
     parameter vector from t makes that coefficient vanish identically.
+    Each embedding entry (r, q) adds its value times the frequency-1
+    twiddle exp(2*pi*i*r/(2n)) to alpha[q].
     """
-    row = fourier_matrix(2 * n)[1] @ toeplitz_embedding(n).matrix / (2 * n)
+    emb = toeplitz_embedding(n).op
+    twiddle = np.exp(1j * np.pi * emb.rows / n)
+    row = np.zeros(2 * n - 1, dtype=complex)
+    np.add.at(row, emb.cols, emb.vals * twiddle)
+    row /= 2 * n
     row.setflags(write=False)
     return row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def tph_program(n: int) -> BilinearProgram:
     """4n-3 multiplications on raw parameters (t_1..t_{2n-1}, h_1..h_{2n-1}).
 
@@ -216,18 +223,22 @@ def tph_program(n: int) -> BilinearProgram:
     slots: frequency 0 from its own embedding and frequency 1 from the
     shift.
     """
-    d_raw = 4 * n - 2
-    alpha = tph_alpha(n)
-    ones = np.ones(2 * n - 1)
-    to_hankel = np.zeros((2 * n - 1, d_raw), dtype=complex)
-    to_hankel[:, 2 * n - 1:] = np.eye(2 * n - 1)
-    to_hankel[:, : 2 * n - 1] += np.outer(ones, alpha)
-    to_toeplitz = np.zeros((2 * n - 1, d_raw), dtype=complex)
-    to_toeplitz[:, : 2 * n - 1] = np.eye(2 * n - 1) - np.outer(ones, alpha)
+    m = 2 * n - 1
+    shift = Dense(np.concatenate([tph_alpha(n), np.zeros(m)])[None, :])
+    rows = np.arange(m)
 
-    eye = np.eye(n)
-    hpart = bilinear.conjugate_by(hankel_program(n), to_hankel, eye, eye)
-    tpart = bilinear.conjugate_by(toeplitz_program(n), to_toeplitz, eye, eye)
+    def shifted(component, sign):
+        """(m, 4n-2): the component's m entries plus sign * (alpha @ t)."""
+        both = VStack([Select.take(2 * m, component), shift])
+        plus = Select((m, m + 1), np.concatenate([rows, rows]),
+                      np.concatenate([rows, np.full(m, m)]),
+                      np.concatenate([np.ones(m), np.full(m, sign)]))
+        return compose(plus, both)
+
+    hpart = bilinear.conjugate_by(
+        hankel_program(n), shifted(m + rows, 1.0), None, None)
+    tpart = bilinear.conjugate_by(
+        toeplitz_program(n), shifted(rows, -1.0), None, None)
     active = np.concatenate([hpart.active, tpart.active])
     active[hpart.r + 1] = False  # frequency 1 of the Toeplitz branch
     summed = bilinear.add(hpart, tpart)
@@ -244,16 +255,11 @@ def sparse_program(pattern: SparsityPattern) -> BilinearProgram:
     accumulate into output i."""
     n = pattern.n
     r = len(pattern.support)
-    enc_param = np.eye(r, dtype=complex)
-    enc_vec = np.zeros((r, n), dtype=complex)
-    dec = np.zeros((n, r), dtype=complex)
-    for t, (i, j) in enumerate(pattern.support):
-        enc_vec[t, j] = 1.0
-        dec[i, t] = 1.0
+    support = np.array(pattern.support, dtype=np.intp).reshape(r, 2)
     return BilinearProgram(
-        enc_param=enc_param,
-        enc_vec=enc_vec,
-        dec=dec,
+        enc_param=Select.take(r, np.arange(r)),
+        enc_vec=Select.take(n, support[:, 1]),
+        dec=Select.take(n, support[:, 0]).T,
         active=np.ones(r, dtype=bool),
     )
 
@@ -269,45 +275,29 @@ def sparse_program(pattern: SparsityPattern) -> BilinearProgram:
 # now-zero diagonal coordinate.  The kernel re-derives its own shift, so
 # the coordinate choice does not affect counts.
 
-@lru_cache(maxsize=None)
-def tph_gauge_project(n: int) -> np.ndarray:
+def _gauge_coordinates(n: int) -> np.ndarray:
+    """Raw (t, h) positions of the 4n-3 gauge-fixed coordinates: every
+    entry but the Toeplitz main diagonal t[n-1]."""
+    return np.delete(np.arange(4 * n - 2), n - 1)
+
+
+@lru_cache(maxsize=64)
+def tph_gauge_project(n: int) -> Select:
     """(4n-3, 4n-2) map from raw (t, h) to gauge-fixed coordinates."""
-    d_raw = 4 * n - 2
-    rows = []
-    diag = n - 1
-    for q in range(2 * n - 1):
-        if q == diag:
-            continue
-        row = np.zeros(d_raw)
-        row[q] = 1.0
-        row[diag] -= 1.0
-        rows.append(row)
-    for q in range(2 * n - 1):
-        row = np.zeros(d_raw)
-        row[2 * n - 1 + q] = 1.0
-        row[diag] += 1.0
-        rows.append(row)
-    out = np.array(rows)
-    out.setflags(write=False)
-    return out
+    coords = _gauge_coordinates(n)
+    rows = np.arange(4 * n - 3)
+    # every coordinate gets -c (Toeplitz) or +c (Hankel) from c = t[n-1]
+    signs = np.where(coords < 2 * n - 1, -1.0, 1.0)
+    return Select((4 * n - 3, 4 * n - 2),
+                  np.concatenate([rows, rows]),
+                  np.concatenate([coords, np.full(4 * n - 3, n - 1)]),
+                  np.concatenate([np.ones(4 * n - 3), signs]))
 
 
-@lru_cache(maxsize=None)
-def tph_gauge_embed(n: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def tph_gauge_embed(n: int) -> Select:
     """(4n-2, 4n-3) section: reinsert the zero diagonal coordinate."""
-    d_raw = 4 * n - 2
-    out = np.zeros((d_raw, 4 * n - 3))
-    col = 0
-    for q in range(2 * n - 1):
-        if q == n - 1:
-            continue
-        out[q, col] = 1.0
-        col += 1
-    for q in range(2 * n - 1):
-        out[2 * n - 1 + q, col] = 1.0
-        col += 1
-    out.setflags(write=False)
-    return out
+    return Select.take(4 * n - 2, _gauge_coordinates(n)).T
 
 
 # ---------------------------------------------------------------------------

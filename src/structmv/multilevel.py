@@ -45,8 +45,8 @@ def level_program(level: StructuredMatrix) -> BilinearProgram:
         return bilinear.conjugate_by(
             kernels.tph_program(n),
             pre_param=kernels.tph_gauge_embed(n),
-            pre_vec=np.eye(n),
-            post=np.eye(n),
+            pre_vec=None,
+            post=None,
         )
     return kernels.single_level_program(level)
 
@@ -81,13 +81,17 @@ class _TailShape:
 
 @lru_cache(maxsize=32)
 def _tail_program(shape: _TailShape) -> BilinearProgram:
-    return multilevel_program(MultilevelRep(shape.levels))
+    """The tail's program with its maps formed as dense matrices, which
+    the head stages multiply by directly; a tail is small."""
+    p = multilevel_program(MultilevelRep(shape.levels))
+    return BilinearProgram(p.enc_param.to_dense(), p.enc_vec.to_dense(),
+                           p.dec.to_dense(), p.active)
 
 
 def _psi_blocks(v, n_head, tail: BilinearProgram) -> np.ndarray:
     """psi[k, t]: tail vector-encode of the k-th block of v."""
     blocks = np.asarray(v, dtype=complex).reshape(n_head, tail.n_in)
-    return blocks @ tail.enc_vec.T
+    return blocks @ tail.enc_vec.matrix.T
 
 
 def _head_circulant(head_row, head_mask, tail, phi_b, v):
@@ -106,7 +110,7 @@ def _head_circulant(head_row, head_mask, tail, phi_b, v):
     mask = np.outer(head_mask, tail.active)
     w = np.zeros((n_head, tail.r), dtype=complex)
     w[mask] = coeff[mask] * vec_side[mask]
-    out_blocks = (w_mat @ (w @ tail.dec.T)) / n_head
+    out_blocks = (w_mat @ (w @ tail.dec.matrix.T)) / n_head
     return out_blocks.reshape(-1), int(mask.sum())
 
 
@@ -161,7 +165,7 @@ def _head_sparse(rep: SparseRep, tail, phi_b, v):
     for (i, j), value in zip(rep.pattern.support, rep.values):
         w[i, act] += (value * phi_b[act]) * psi[j, act]
         count += n_active
-    out_blocks = w @ tail.dec.T
+    out_blocks = w @ tail.dec.matrix.T
     return out_blocks.reshape(-1), count
 
 
@@ -183,7 +187,7 @@ def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:
     key = tuple((type(level), level.pattern if isinstance(level, SparseRep)
                  else level.n) for level in tail_rep.levels)
     tail = _tail_program(_TailShape(key, tail_rep.levels))
-    phi_b = tail.enc_param @ param_vector(tail_rep)
+    phi_b = tail.enc_param.matrix @ param_vector(tail_rep)
     if isinstance(head, CirculantRep):
         head_mask = np.ones(head.n, dtype=bool)
         return _head_circulant(head.param, head_mask, tail, phi_b, v)
@@ -212,8 +216,8 @@ def intermediate_w_values(m: MultilevelRep, v) -> np.ndarray:
     tail_p = multilevel_program(MultilevelRep(m.levels[1:]))
     full = bilinear.kron(head_p, tail_p)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    pa = full.enc_param @ param_vector(m)
-    pv = full.enc_vec @ v
+    pa = full.enc_param.apply(param_vector(m))
+    pv = full.enc_vec.apply(v)
     w = np.zeros(full.r, dtype=complex)
     w[full.active] = pa[full.active] * pv[full.active]
     return w.reshape(head_p.r, tail_p.r)

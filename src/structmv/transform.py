@@ -2,10 +2,11 @@
 
 The Fourier matrix used throughout has the positive-exponent kernel
 ``W[r, c] = exp(2*pi*i*r*c/n)``; it is symmetric, and its inverse is
-``conj(W)/n``.  The program builders use W itself as a dense map.  The
-transforms :func:`dft` and :func:`idft` apply W and its inverse in
-O(n log n) with numpy's FFT; in numpy's negative-exponent convention
-``W @ x`` is ``n * ifft(x)``.  Transform entries are constants, so the
+``conj(W)/n``.  :func:`fourier_matrix` forms W densely, for reference
+checks and the small head stages of multilevel products.  The transforms
+:func:`dft` and :func:`idft` apply W and its inverse in O(n log n) with
+numpy's FFT; in numpy's negative-exponent convention ``W @ x`` is
+``n * ifft(x)``.  Transform entries are constants, so the
 transforms cost no genuine multiplications.
 """
 
@@ -16,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def fourier_matrix(n: int) -> np.ndarray:
     """Order-n Fourier matrix with entry (r, c) = exp(2*pi*i*r*c/n).
 
@@ -32,7 +33,7 @@ def fourier_matrix(n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def exchange_matrix(n: int) -> np.ndarray:
     """Anti-diagonal permutation matrix J reversing coordinate order."""
     j = np.eye(n)[::-1].copy()

@@ -74,9 +74,9 @@ def test_kron_matches_dense_kronecker_oracle():
 def test_conjugate_by_identity_is_noop():
     p = kernels.circulant_program(3)
     q = bilinear.conjugate_by(p, np.eye(3), np.eye(3), np.eye(3))
-    np.testing.assert_array_equal(q.enc_param, p.enc_param)
-    np.testing.assert_array_equal(q.enc_vec, p.enc_vec)
-    np.testing.assert_array_equal(q.dec, p.dec)
+    np.testing.assert_array_equal(q.enc_param.to_dense(), p.enc_param.to_dense())
+    np.testing.assert_array_equal(q.enc_vec.to_dense(), p.enc_vec.to_dense())
+    np.testing.assert_array_equal(q.dec.to_dense(), p.dec.to_dense())
     assert q.count == p.count
 
 
@@ -145,8 +145,10 @@ def test_apply_is_bilinear():
 
 def test_inactive_slots_never_contribute():
     rng = np.random.default_rng(10)
-    p = kernels.tph_program(3)
-    zeroed_rows = np.array(p.enc_vec, copy=True)
+    built = kernels.tph_program(3)
+    enc_vec = built.enc_vec.to_dense()
+    p = BilinearProgram(built.enc_param, enc_vec, built.dec, built.active)
+    zeroed_rows = np.array(enc_vec, copy=True)
     zeroed_rows[~p.active] = 0.0
     q = BilinearProgram(p.enc_param, zeroed_rows, p.dec, p.active)
     a = gaussian(rng, p.d_param)

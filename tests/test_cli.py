@@ -288,6 +288,56 @@ def test_bench_rejects_reps_below_one(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# malformed input: exit 2, one error line, no traceback
+# ---------------------------------------------------------------------------
+
+_ONE = [[1, 0]]
+
+
+@pytest.mark.parametrize("matrix, vector", [
+    ({"structure": "circulant", "n": True, "param": _ONE}, {"n": 1, "v": _ONE}),
+    ({"structure": "circulant", "n": 1, "param": [[True, 0]]}, {"n": 1, "v": _ONE}),
+    ({"structure": "toeplitz_plus_hankel", "n": 1, "toeplitz": _ONE,
+      "hankel": [[0, False]]}, {"n": 1, "v": _ONE}),
+    ({"structure": "sparse", "n": 1, "entries": [{"i": False, "j": 0, "v": [1, 0]}]},
+     {"n": 1, "v": _ONE}),
+    ({"structure": "sparse", "n": 1, "entries": [{"i": 0, "j": True, "v": [1, 0]}]},
+     {"n": 1, "v": _ONE}),
+    ({"structure": "sparse", "n": 1, "entries": [{"i": 0, "j": 0, "v": [1, True]}]},
+     {"n": 1, "v": _ONE}),
+    ({"structure": "circulant", "n": 1, "param": _ONE}, {"n": True, "v": _ONE}),
+    ({"structure": "circulant", "n": 1, "param": _ONE}, {"n": 1, "v": [[False, 0]]}),
+])
+def test_json_booleans_are_not_numbers(tmp_path, matrix, vector):
+    mat = _write(tmp_path, "m.json", matrix)
+    vec = _write(tmp_path, "v.json", vector)
+    for args in (["apply", mat, vec], ["verify", mat, vec]):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--structure", "sparse", "--n", "4", "--density", "7"],
+    ["gen", "--structure", "sparse", "--n", "4", "--density", "0"],
+    ["gen", "--structure", "sparse", "--n", "4", "--density", "-0.5"],
+    ["gen", "--structure", "sparse", "--n", "4", "--density", "nan"],
+    ["gen", "--structure", "vector", "--n", "0"],
+    ["gen", "--structure", "circulant", "--n", "-2"],
+    ["count", "--n", "0"],
+    ["count", "--n", "1", "--n-max", "0"],
+])
+def test_out_of_range_arguments_exit_2(tmp_path, args):
+    r = run_cli(args, tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+    assert "error:" in r.stderr.strip().splitlines()[-1]
+
+
+# ---------------------------------------------------------------------------
 # file round trips
 # ---------------------------------------------------------------------------
 

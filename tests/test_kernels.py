@@ -226,6 +226,13 @@ def test_tph_shifted_embedding_loses_two_frequencies():
         assert abs(coeffs[1]) <= 1e-9 * scale
 
 
+def test_tph_alpha_is_the_embedding_frequency_1_row():
+    for n in range(1, 17):
+        want = (transform.fourier_matrix(2 * n)[1]
+                @ kernels.toeplitz_embedding(n).matrix / (2 * n))
+        np.testing.assert_allclose(kernels.tph_alpha(n), want, rtol=0, atol=1e-12)
+
+
 def test_tph_gauge_shift_preserves_sum():
     rng = np.random.default_rng(6)
     n = 4
@@ -349,7 +356,7 @@ def test_symmetric_direct_sweep():
         if n <= 12:  # the peel agrees with the program's shell maps
             maps = kernels.symmetric_shell_maps(n)
             for k, shell in kernels.symmetric_shells(m.param, n):
-                assert rel_err(shell, maps[k] @ m.param) < 1e-12
+                assert rel_err(shell, maps[k].to_dense() @ m.param) < 1e-12
 
 
 def test_direct_matvec_rejects_length_mismatch():

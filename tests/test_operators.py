@@ -1,0 +1,145 @@
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import structmv
+from structmv.operators import (
+    Compose, Dense, Fourier, HStack, Kron, Select, VStack, as_operator, compose,
+)
+from structmv.transform import fourier_matrix
+from util import gaussian, rel_err
+
+
+def _check(op, rng, tol=1e-12):
+    """apply agrees with to_dense on a vector and on a batch of three."""
+    d = op.to_dense()
+    assert d.shape == op.shape
+    x = gaussian(rng, op.shape[1])
+    assert rel_err(op.apply(x), d @ x) < tol
+    xs = gaussian(rng, (op.shape[1], 3))
+    out = op.apply(xs)
+    assert out.shape == (op.shape[0], 3)
+    assert rel_err(out, d @ xs) < tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 31, 32, 33, 64, 100])
+def test_fourier_matches_fourier_matrix(n):
+    rng = np.random.default_rng(n)
+    w = fourier_matrix(n)
+    for conj, scale in [(False, 1.0), (True, 1.0), (False, 1 / n)]:
+        op = Fourier(n, conj=conj, scale=scale)
+        want = (np.conj(w) if conj else w) * scale
+        np.testing.assert_array_equal(op.to_dense(), want)
+        _check(op, rng)
+
+
+def test_select_sums_duplicates_and_drops_zeros():
+    op = Select((2, 3), [0, 0, 1, 1], [1, 1, 2, 0], [1.0, 1.0, 1.0, -1.0])
+    np.testing.assert_array_equal(op.to_dense(), [[0, 2, 0], [-1, 0, 1]])
+    cancel = Select((1, 2), [0, 0], [1, 1], [1.0, -1.0])
+    assert len(cancel.rows) == 0
+    np.testing.assert_array_equal(cancel.apply(np.ones(2)), [0.0])
+
+
+def test_select_kinds_apply():
+    rng = np.random.default_rng(1)
+    gather = Select.take(5, [4, 0, 2])
+    signed = Select((3, 5), [0, 1, 2], [4, 0, 2], [1.0, -1.0, 1.0])
+    scatter = Select.take(6, [5, 1, 3]).T
+    summed = Select((3, 4), [0, 0, 2, 2, 2], [0, 3, 1, 2, 3], [1, -1, 1, 1, -1])
+    empty = Select((4, 2), [], [])
+    for op in (gather, signed, scatter, summed, empty, gather.T):
+        _check(op, rng)
+
+
+def test_select_fusion_is_the_product():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        m, k, n = rng.integers(1, 7, size=3)
+        a = Select((m, k), rng.integers(0, m, 9), rng.integers(0, k, 9),
+                   rng.choice([-1.0, 1.0], 9))
+        b = Select((k, n), rng.integers(0, k, 9), rng.integers(0, n, 9),
+                   rng.choice([-1.0, 1.0], 9))
+        fused = compose(a, b)
+        assert isinstance(fused, Select)
+        np.testing.assert_array_equal(fused.to_dense(), a.to_dense() @ b.to_dense())
+
+
+def test_compose_flattens_and_checks_shapes():
+    rng = np.random.default_rng(3)
+    n = 128
+    inner = compose(Select.take(n, np.arange(n)[::-1]), Dense(gaussian(rng, (n, 2))))
+    op = compose(Fourier(n), inner)
+    assert [type(p) for p in op.ops] == [Fourier, Select, Dense]
+    _check(op, rng)
+    with pytest.raises(ValueError, match="compose"):
+        compose(Fourier(4), Select.take(5, [0, 1, 2]))
+
+
+def test_small_operators_become_dense():
+    rng = np.random.default_rng(6)
+    n = 8
+    small = compose(Fourier(2 * n), Select.take(2 * n, np.arange(n)).T)
+    assert isinstance(small, Dense)
+    np.testing.assert_allclose(
+        small.to_dense(), fourier_matrix(2 * n)[:, :n], rtol=0, atol=1e-14)
+    assert isinstance(as_operator(Fourier(64)), Dense)
+    assert isinstance(as_operator(Fourier(65)), Fourier)
+    assert isinstance(as_operator(Select.take(3, [0])), Select)
+    # a small product that passes through a large operator stays a product
+    through = compose(Select.take(4096, [0]), Fourier(4096), Select.take(4096, [1]).T)
+    assert isinstance(through, Compose) and through.shape == (1, 1)
+    _check(through, rng)
+    empty = as_operator(Kron([Fourier(100), Select((0, 3), [], [])]))
+    assert isinstance(empty, Dense) and empty.shape == (0, 300)
+
+
+def test_kron_matches_np_kron():
+    rng = np.random.default_rng(4)
+    factors = [Fourier(3), Select.take(4, [1, 3]), Dense(gaussian(rng, (2, 5))),
+               compose(Fourier(6, conj=True), Select.take(6, [0, 1, 2]).T)]
+    for k in range(1, len(factors) + 1):
+        op = Kron(factors[:k])
+        _check(op, rng)
+        want = factors[0].to_dense()
+        for f in factors[1:k]:
+            want = np.kron(want, f.to_dense())
+        np.testing.assert_allclose(op.to_dense(), want, rtol=0, atol=1e-12)
+
+
+def test_kron_with_an_empty_factor():
+    op = Kron([Fourier(2), Select((0, 3), [], [])])
+    assert op.shape == (0, 6)
+    assert op.apply(np.ones(6)).shape == (0,)
+
+
+def test_stacks():
+    rng = np.random.default_rng(5)
+    a, b = Fourier(4), Dense(gaussian(rng, (2, 4)))
+    _check(VStack([a, b]), rng)
+    _check(HStack([Select.take(3, [0, 2]).T, Dense(gaussian(rng, (3, 5)))]), rng)
+
+
+def test_as_operator_keeps_operators_and_wraps_arrays():
+    f = Fourier(128)
+    assert as_operator(f) is f
+    d = as_operator([[1.0, 2.0]])
+    assert isinstance(d, Dense) and d.shape == (1, 2)
+    with pytest.raises(ValueError):
+        Dense(np.ones(3))
+
+
+def test_no_unbounded_caches():
+    names = [info.name for info in pkgutil.iter_modules(structmv.__path__)]
+    cached = []
+    for name in names:
+        if name == "__main__":
+            continue
+        module = importlib.import_module(f"structmv.{name}")
+        for attr in vars(module).values():
+            if callable(attr) and hasattr(attr, "cache_parameters"):
+                cached.append((name, attr.__name__, attr.cache_parameters()["maxsize"]))
+    assert len(cached) >= 10
+    assert [c for c in cached if c[2] is None] == []
