@@ -82,7 +82,8 @@ class _TailShape:
 @lru_cache(maxsize=32)
 def _tail_program(shape: _TailShape) -> BilinearProgram:
     """The tail's program with its maps formed as dense matrices, which
-    the head stages multiply by directly; a tail is small."""
+    the head stages multiply by directly; their size is quadratic in the
+    tail's order."""
     p = multilevel_program(MultilevelRep(shape.levels))
     return BilinearProgram(p.enc_param.to_dense(), p.enc_vec.to_dense(),
                            p.dec.to_dense(), p.active)
