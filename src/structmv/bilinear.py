@@ -189,6 +189,8 @@ def add(p1: BilinearProgram, p2: BilinearProgram) -> BilinearProgram:
 def drop_inactive(program: BilinearProgram) -> BilinearProgram:
     """Remove structurally-zero slots; the evaluated map is unchanged."""
     act = program.active
+    if act.all():
+        return program
     keep = Select.take(program.r, np.flatnonzero(act))
     return BilinearProgram(
         enc_param=compose(keep, program.enc_param),

@@ -5,7 +5,9 @@ Each structure gets two evaluation routes that must agree:
 * a builder producing a :class:`~structmv.bilinear.BilinearProgram` whose
   active-slot count is provably minimal for that structure, and
 * a literal step-by-step matvec (the "direct path") that performs the same
-  stages inline.
+  stages inline, on a vector or on a block of vectors along a trailing
+  axis, with an optional per-column parameter factor.  The multilevel
+  direct route runs the head level's stage over its encoded tail this way.
 
 The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
 into a circulant of twice the order with the free first-row entry chosen as
@@ -14,7 +16,10 @@ multiplication.  Hankel reduces to Toeplitz by reversing parameters and
 output.  Symmetric peels Hankel shells off the border.  Toeplitz-plus-Hankel
 shifts a multiple of the all-ones matrix between its two components so that
 the Toeplitz part's frequency-1 slot vanishes as well, saving a second
-multiplication.  Sparse is the usual support-driven matvec.
+multiplication.  Sparse is the usual support-driven matvec, as one gather,
+one multiply and one segmented sum.  The direct circulant stage takes its
+transforms from :func:`circulant_program`, so the choice between a small
+dense Fourier matrix and ``np.fft`` is the operators' one rule.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .structures import (
     ToeplitzRep,
     symmetric_pack_index,
 )
-from .transform import dft, idft
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,13 +257,11 @@ def tph_program(n: int) -> BilinearProgram:
 def sparse_program(pattern: SparsityPattern) -> BilinearProgram:
     """One multiplication per support entry: select value, select v[j],
     accumulate into output i."""
-    n = pattern.n
-    r = len(pattern.support)
-    support = np.array(pattern.support, dtype=np.intp).reshape(r, 2)
+    r = len(pattern.rows)
     return BilinearProgram(
         enc_param=Select.take(r, np.arange(r)),
-        enc_vec=Select.take(n, support[:, 1]),
-        dec=Select.take(n, support[:, 0]).T,
+        enc_vec=Select.take(pattern.n, pattern.cols),
+        dec=Select.take(pattern.n, pattern.rows).T,
         active=np.ones(r, dtype=bool),
     )
 
@@ -303,39 +305,56 @@ def tph_gauge_embed(n: int) -> Select:
 # ---------------------------------------------------------------------------
 # direct paths
 # ---------------------------------------------------------------------------
+#
+# Each stage acts on the first axis of x, of shape (n,) or (n, B), so a
+# block of B vectors costs one pass.  An optional parameter-side factor phi
+# of shape (B,) multiplies the level's parameters into column t as
+# phi[t]: the slot products become (a_hat[s] * phi[t]) * x_hat[s, t], the
+# outer-product parameters of a Kronecker product with whatever phi
+# encodes.  The multilevel direct route passes the tail's encoded
+# parameters as phi.  Counts are the products formed: active slots times B.
 
-def _circulant_steps(c, x, first=0):
-    """Transform both sides, multiply pointwise over slots ``first`` and
-    up, transform back.  Slots below ``first`` are structurally zero and
-    are neither formed nor counted.  Returns (product, genuine
-    multiplication count)."""
+def _coefficients(a_hat, phi, x):
+    """Parameter side of the slot products for a block ``x``."""
+    if phi is not None:
+        return np.outer(a_hat, phi)
+    return a_hat.reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def _circulant_steps(c, x, first=0, phi=None):
+    """Transform both sides with the maps of :func:`circulant_program`,
+    multiply pointwise over slots ``first`` and up, transform back.  Slots
+    below ``first`` are structurally zero and are neither formed nor
+    counted.  Returns (product, genuine multiplication count)."""
     c = np.asarray(c, dtype=complex).reshape(-1)
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    if len(c) != len(x):
+    x = np.asarray(x, dtype=complex)
+    n = len(c)
+    if len(x) != n:
         raise ValueError(
-            f"circulant order {len(c)} does not match vector length {len(x)}"
+            f"circulant order {n} does not match vector length {len(x)}"
         )
-    prod = dft(c)
+    program = circulant_program(n)
+    prod = program.enc_vec @ x
     prod[:first] = 0
-    prod[first:] *= idft(x)[first:]
-    return dft(prod), len(c) - first
+    prod[first:] *= _coefficients(program.enc_param @ c, phi, x)[first:]
+    return program.dec @ prod, (n - first) * (x.size // n)
 
 
-def _toeplitz_steps(param, v, b=None, first=1):
+def _toeplitz_steps(param, v, b=None, first=1, phi=None):
     """Frequency 0 is structurally zero only for the default ``b``, so a
     caller that sets ``b`` passes ``first=0``; Toeplitz-plus-Hankel skips
     frequency 1 as well with ``first=2``."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = np.asarray(v, dtype=complex)
     n = len(v)
     c = toeplitz_embedding(n).embed(param, b=b)
-    padded = np.concatenate([v, np.zeros(n, dtype=complex)])
-    z, count = _circulant_steps(c, padded, first)
+    padded = np.concatenate([v, np.zeros_like(v)])
+    z, count = _circulant_steps(c, padded, first, phi)
     return z[:n], count
 
 
-def _hankel_steps(param, v):
+def _hankel_steps(param, v, phi=None):
     param = np.asarray(param, dtype=complex).reshape(-1)
-    z, count = _toeplitz_steps(param[::-1], v)
+    z, count = _toeplitz_steps(param[::-1], v, phi=phi)
     return z[::-1], count
 
 
@@ -380,42 +399,48 @@ def symmetric_shells(param, n: int):
         previous, start = border, start + len(border)
 
 
-def _symmetric_steps(param, n, v):
-    v = np.asarray(v, dtype=complex).reshape(-1)
+def _symmetric_steps(param, n, v, phi=None):
+    v = np.asarray(v, dtype=complex)
     if len(v) != n:
         raise ValueError(
             f"symmetric order {n} does not match vector length {len(v)}"
         )
-    z = np.zeros(n, dtype=complex)
+    z = np.zeros_like(v)
     count = 0
     for k, shell in symmetric_shells(param, n):
-        w, c = _hankel_steps(shell, v[k:n - k])
+        w, c = _hankel_steps(shell, v[k:n - k], phi)
         z[k:n - k] += w
         count += c
     return z, count
 
 
-def _tph_steps(t_param, h_param, v):
+def _tph_steps(t_param, h_param, v, phi=None):
     t_param = np.asarray(t_param, dtype=complex).reshape(-1)
     h_param = np.asarray(h_param, dtype=complex).reshape(-1)
     n = (len(t_param) + 1) // 2
     shift = tph_alpha(n) @ t_param
-    z_h, c_h = _hankel_steps(h_param + shift, v)
+    z_h, c_h = _hankel_steps(h_param + shift, v, phi)
     # the shifted Toeplitz part also has a vanishing frequency-1 slot
-    z_t, c_t = _toeplitz_steps(t_param - shift, v, first=2)
+    z_t, c_t = _toeplitz_steps(t_param - shift, v, first=2, phi=phi)
     return z_h + z_t, c_h + c_t
 
 
-def _sparse_steps(rep: SparseRep, v):
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if len(v) != rep.n:
+def _sparse_steps(rep: SparseRep, v, phi=None):
+    """One gather of v by column, one multiply by the values, and one
+    segmented sum by row; rows that repeat are summed by ``np.add.at``."""
+    v = np.asarray(v, dtype=complex)
+    n = rep.n
+    if len(v) != n:
         raise ValueError(
-            f"sparse order {rep.n} does not match vector length {len(v)}"
+            f"sparse order {n} does not match vector length {len(v)}"
         )
-    z = np.zeros(rep.n, dtype=complex)
-    for (i, j), value in zip(rep.pattern.support, rep.values):
-        z[i] += value * v[j]
-    return z, len(rep.pattern.support)
+    pattern = rep.pattern
+    batch = v.size // n
+    terms = (_coefficients(rep.values, phi, v) * v[pattern.cols]).reshape(-1)
+    index = (pattern.rows[:, None] * batch + np.arange(batch)).reshape(-1)
+    z = np.zeros(n * batch, dtype=complex)
+    np.add.at(z, index, terms)
+    return z.reshape(v.shape), len(terms)
 
 
 def direct_circulant_matvec(rep: CirculantRep, v) -> np.ndarray:
@@ -479,18 +504,25 @@ def single_level_params(m: StructuredMatrix) -> np.ndarray:
     return np.asarray(m.param, dtype=complex)
 
 
+def direct_stage(m: StructuredMatrix, x, phi=None) -> tuple[np.ndarray, int]:
+    """The structure's direct stage on ``x``, a vector or an (n, B) block
+    of B vectors; ``phi`` of shape (B,) scales the parameters per column
+    (see the direct-path stages).  Returns (product, count)."""
+    if isinstance(m, CirculantRep):
+        return _circulant_steps(m.param, x, phi=phi)
+    if isinstance(m, ToeplitzRep):
+        return _toeplitz_steps(m.param, x, phi=phi)
+    if isinstance(m, HankelRep):
+        return _hankel_steps(m.param, x, phi)
+    if isinstance(m, SymmetricRep):
+        return _symmetric_steps(m.param, m.n, x, phi)
+    if isinstance(m, ToeplitzPlusHankelRep):
+        return _tph_steps(m.toeplitz.param, m.hankel.param, x, phi)
+    if isinstance(m, SparseRep):
+        return _sparse_steps(m, x, phi)
+    raise TypeError(f"no single-level direct path for {type(m).__name__}")
+
+
 def direct_matvec(m: StructuredMatrix, v) -> tuple[np.ndarray, int]:
     """Direct-path product and its genuine multiplication count."""
-    if isinstance(m, CirculantRep):
-        return _circulant_steps(m.param, v)
-    if isinstance(m, ToeplitzRep):
-        return _toeplitz_steps(m.param, v)
-    if isinstance(m, HankelRep):
-        return _hankel_steps(m.param, v)
-    if isinstance(m, SymmetricRep):
-        return _symmetric_steps(m.param, m.n, v)
-    if isinstance(m, ToeplitzPlusHankelRep):
-        return _tph_steps(m.toeplitz.param, m.hankel.param, v)
-    if isinstance(m, SparseRep):
-        return _sparse_steps(m, v)
-    raise TypeError(f"no single-level direct path for {type(m).__name__}")
+    return direct_stage(m, v)

@@ -10,7 +10,7 @@ promoted with zero imaginary parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -109,16 +109,22 @@ class SparsityPattern:
     """Support of a sparse matrix: the (row, col) pairs that may be nonzero.
 
     The stored order of ``support`` is the canonical enumeration that value
-    vectors align with.
+    vectors align with; ``rows`` and ``cols`` hold the same pairs as index
+    arrays, built once here and left out of equality and hashing.
     """
 
     n: int
     support: tuple
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "support", tuple((int(i), int(j)) for i, j in self.support)
-        )
+        support = tuple((int(i), int(j)) for i, j in self.support)
+        index = np.array(support, dtype=np.intp).reshape(len(support), 2).T
+        index.setflags(write=False)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "rows", index[0])
+        object.__setattr__(self, "cols", index[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 The Fourier matrix used throughout has the positive-exponent kernel
 ``W[r, c] = exp(2*pi*i*r*c/n)``; it is symmetric, and its inverse is
 ``conj(W)/n``.  :func:`fourier_matrix` forms W densely, for reference
-checks and the small head stages of multilevel products.  The transforms
+checks and for the small Fourier operators that apply as dense matrices.  The transforms
 :func:`dft` and :func:`idft` apply W and its inverse in O(n log n) with
 numpy's FFT; in numpy's negative-exponent convention ``W @ x`` is
 ``n * ifft(x)``.  Transform entries are constants, so the

@@ -306,13 +306,43 @@ def test_sparse_empty_support():
     assert dcount == 0
 
 
+def test_sparse_pattern_index_arrays():
+    pattern = sm.SparsityPattern(4, ((2, 1), (0, 3), (2, 0)))
+    np.testing.assert_array_equal(pattern.rows, [2, 0, 2])
+    np.testing.assert_array_equal(pattern.cols, [1, 3, 0])
+    assert not pattern.rows.flags.writeable
+    assert not pattern.cols.flags.writeable
+    same = sm.SparsityPattern(4, [[2, 1], [0, 3], [2, 0]])
+    assert same == pattern and hash(same) == hash(pattern)
+    empty = sm.SparsityPattern(4, ())
+    assert empty.rows.shape == empty.cols.shape == (0,)
+
+
+@pytest.mark.parametrize("structure", SINGLE_LEVEL)
+def test_direct_stage_on_a_block(structure):
+    # column t of the block product is phi[t] times the matrix times x[:, t]
+    rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 50)
+    for n in (1, 2, 3, 8, 33):
+        m = random_instance(structure, n, rng)
+        x = gaussian(rng, (n, 4))
+        phi = gaussian(rng, 4)
+        d = oracle.dense(m)
+        got, count = kernels.direct_stage(m, x, phi)
+        assert got.shape == (n, 4)
+        assert rel_err(got, (d @ x) * phi) < 1e-9
+        assert count == 4 * sm.param_dim(m)
+        got, count = kernels.direct_stage(m, x)
+        assert rel_err(got, d @ x) < 1e-9
+        assert count == 4 * sm.param_dim(m)
+
+
 # ---------------------------------------------------------------------------
 # cross-route agreement
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("structure", SINGLE_LEVEL)
 def test_program_and_direct_match_oracle(structure):
-    rng = np.random.default_rng(hash(structure) % 2**32)
+    rng = np.random.default_rng(SINGLE_LEVEL.index(structure))
     for n in range(1, 13):
         for _ in range(5):
             m = random_instance(structure, n, rng)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,8 @@ def test_direct_rejects_length_mismatch():
 @pytest.mark.parametrize("tail", SINGLE_LEVEL)
 def test_all_head_tail_pairs_agree(head, tail):
     # 20 random instances per pair across the order grid
-    rng = np.random.default_rng(abs(hash((head, tail))) % 2**32)
+    rng = np.random.default_rng(
+        SINGLE_LEVEL.index(head) * len(SINGLE_LEVEL) + SINGLE_LEVEL.index(tail))
     for n1, n2 in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         for _ in range(5):
             m = sm.MultilevelRep((
@@ -158,7 +161,7 @@ def test_all_head_tail_pairs_agree(head, tail):
 
 @pytest.mark.parametrize("head", SINGLE_LEVEL)
 def test_three_level_every_head(head):
-    rng = np.random.default_rng(abs(hash(head)) % 2**32)
+    rng = np.random.default_rng(SINGLE_LEVEL.index(head))
     tails = [("toeplitz", "symmetric"), ("hankel", "circulant")]
     for names in tails:
         for orders in [(2, 2, 2), (3, 2, 2), (2, 3, 2)]:
@@ -230,3 +233,47 @@ def test_direct_builds_each_tail_shape_once(monkeypatch):
         got, _ = multilevel.multilevel_matvec_direct(m, v)
         assert rel_err(got, oracle.dense(m) @ v) < 1e-9
     assert builds == [2]
+
+
+@pytest.mark.parametrize("support", [(), ((1, 2), (0, 0), (1, 0), (1, 1))],
+                         ids=["empty", "repeated-row"])
+def test_sparse_edge_supports_as_every_level(support):
+    # a single level, a head over each structure, and a tail under each
+    rng = np.random.default_rng(len(support))
+    nnz = len(support)
+
+    def sparse():
+        return sm.SparseRep(sm.SparsityPattern(3, support), gaussian(rng, nnz))
+
+    cases = [((sparse(),), 1)]
+    for other in SINGLE_LEVEL:
+        level = random_instance(other, 2, rng)
+        cases.append(((sparse(), level), sm.param_dim(level)))
+        cases.append(((level, sparse()), sm.param_dim(level)))
+    for levels, tail_count in cases:
+        m = sm.MultilevelRep(levels)
+        v = gaussian(rng, sm.order(m))
+        got, count = multilevel.multilevel_matvec_direct(m, v)
+        assert rel_err(got, oracle.dense(m) @ v) < 1e-9
+        assert count == nnz * tail_count == sm.param_dim(m)
+
+
+def test_direct_tail_stays_matrix_free():
+    # the tail T32 (x) H32 once took 752 MB as a dense program
+    rng = np.random.default_rng(14)
+    m = sm.MultilevelRep((random_instance("circulant", 16, rng),
+                          random_instance("toeplitz", 32, rng),
+                          random_instance("hankel", 32, rng)))
+    v = gaussian(rng, sm.order(m))
+    multilevel._tail_program.cache_clear()
+    tracemalloc.start()
+    try:
+        got, count = multilevel.multilevel_matvec_direct(m, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    want, wcount = bilinear.apply(multilevel.multilevel_program(m),
+                                  multilevel.param_vector(m), v)
+    assert rel_err(got, want) < 1e-12
+    assert count == wcount == sm.param_dim(m)
