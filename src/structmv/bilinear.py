@@ -26,7 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HStack, Kron, Operator, Select, VStack, as_operator, compose
+from .operators import (
+    SMALL_DENSE,
+    Dense,
+    HStack,
+    Kron,
+    Operator,
+    Select,
+    VStack,
+    as_operator,
+    compose,
+)
 
 # an inactive slot's row must be this small relative to the largest entry
 PRUNE_RTOL = 1e-10
@@ -45,7 +55,8 @@ class BilinearProgram:
     active    : (r,) bool mask; False rows of enc_param are structurally zero
 
     The maps are operators; an array given for one is kept as a dense
-    matrix.
+    matrix, and so is an index map of at most SMALL_DENSE entries that is
+    not a gather.
     """
 
     enc_param: Operator
@@ -54,9 +65,9 @@ class BilinearProgram:
     active: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "enc_param", as_operator(self.enc_param))
-        object.__setattr__(self, "enc_vec", as_operator(self.enc_vec))
-        object.__setattr__(self, "dec", as_operator(self.dec))
+        object.__setattr__(self, "enc_param", _stored(self.enc_param))
+        object.__setattr__(self, "enc_vec", _stored(self.enc_vec))
+        object.__setattr__(self, "dec", _stored(self.dec))
         act = np.array(self.active, dtype=bool).reshape(-1)
         act.setflags(write=False)
         object.__setattr__(self, "active", act)
@@ -88,6 +99,17 @@ class BilinearProgram:
     def count(self) -> int:
         """Number of genuine multiplications per evaluation."""
         return int(self.active.sum())
+
+
+def _stored(x) -> Operator:
+    """The operator a program keeps for the map ``x``: :func:`as_operator`,
+    except that a small index map other than a gather becomes its dense
+    matrix, since one small product beats a segmented sum."""
+    op = as_operator(x)
+    if (isinstance(op, Select) and not op.is_gather
+            and op.shape[0] * op.shape[1] <= SMALL_DENSE):
+        return Dense(op.to_dense())
+    return op
 
 
 @dataclass(frozen=True)

@@ -370,15 +370,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-_COUNT_FORMULAS = {
-    "circulant": lambda n: n,
-    "toeplitz": lambda n: 2 * n - 1,
-    "hankel": lambda n: 2 * n - 1,
-    "symmetric": lambda n: n * (n + 1) // 2,
-    "toeplitz_plus_hankel": lambda n: 4 * n - 3,
-}
-
-
 def cmd_count(args) -> int:
     names = (
         [s for s in STRUCTURES if s != "multilevel"]
@@ -392,17 +383,11 @@ def cmd_count(args) -> int:
     rows = []
     for name in names:
         for n in range(n_lo, n_hi + 1):
-            if name == "sparse":
-                rng = np.random.default_rng(args.seed + n)
-                m = gen_matrix("sparse", n, rng, density=args.density)
-                theoretical = len(m.pattern.support)
-                program = kernels.sparse_program(m.pattern)
-            else:
-                theoretical = _COUNT_FORMULAS[name](n)
-                program = kernels.single_level_program(
-                    gen_matrix(name, n, np.random.default_rng(0))
-                )
-            report = bilinear.prune_check(program)
+            seed = args.seed + n if name == "sparse" else 0
+            m = gen_matrix(name, n, np.random.default_rng(seed),
+                           density=args.density)
+            theoretical = param_dim(m)
+            report = bilinear.prune_check(kernels.single_level_program(m))
             match = report.match and report.measured == theoretical
             rows.append((name, n, theoretical, report.measured, match))
     width = max(len(name) for name, *_ in rows)
@@ -572,6 +557,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -13,19 +13,21 @@ The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
 into a circulant of twice the order with the free first-row entry chosen as
 minus the parameter sum, which zeroes the frequency-0 slot and saves one
 multiplication.  Hankel reduces to Toeplitz by reversing parameters and
-output.  Symmetric peels Hankel shells off the border.  Toeplitz-plus-Hankel
-shifts a multiple of the all-ones matrix between its two components so that
-the Toeplitz part's frequency-1 slot vanishes as well, saving a second
-multiplication.  Sparse is the usual support-driven matvec, as one gather,
-one multiply and one segmented sum.  The direct circulant stage takes its
-transforms from :func:`circulant_program`, so the choice between a small
-dense Fourier matrix and ``np.fft`` is the operators' one rule.
+output.  Symmetric forms one product per entry pair, a_ij (v_i + v_j), and
+one per diagonal entry, (a_ii - sum_{j != i} a_ij) v_i, with index maps
+only.  Toeplitz-plus-Hankel shifts a multiple of the all-ones matrix between
+its two components so that the Toeplitz part's frequency-1 slot vanishes as
+well, saving a second multiplication.  Sparse is the usual support-driven
+matvec, as one gather, one multiply and one segmented sum.  The direct
+symmetric and circulant stages apply the maps of :func:`symmetric_program`
+and :func:`circulant_program`, so the choice between a small dense matrix
+and an index map or ``np.fft`` is the operators' one rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .structures import (
     SymmetricRep,
     ToeplitzPlusHankelRep,
     ToeplitzRep,
-    symmetric_pack_index,
 )
 
 
@@ -146,56 +147,37 @@ def hankel_program(n: int) -> BilinearProgram:
 
 
 @lru_cache(maxsize=64)
-def symmetric_shell_maps(n: int) -> tuple:
-    """Index maps from packed symmetric parameters to each shell's Hankel
-    parameters.
-
-    Shell k (k = 0, 1, ...) is the Hankel matrix matching the first row and
-    last column of the order n-2k residual; subtracting it zeroes the
-    residual's border, and the sum of the re-embedded shells reconstructs
-    the symmetric matrix.  As :func:`symmetric_shells` shows, shell k is its
-    border minus shell k-1's border on the same anti-diagonals, so its map
-    is the difference of two 0/1 selections.  Returns ceil(n/2) operators
-    of shape (2(n-2k)-1, n(n+1)/2).
-    """
-    dim = n * (n + 1) // 2
-    index = _border_index(n)
-    maps = []
-    previous = np.empty(0, dtype=np.intp)
-    start = 0
-    for k in range((n + 1) // 2):
-        length = 2 * (n - 2 * k) - 1
-        border = index[start:start + length]
-        rows = np.arange(length)
-        maps.append(Select(
-            (length, dim),
-            np.concatenate([rows, rows[:len(previous)]]),
-            np.concatenate([border, previous]),
-            np.concatenate([np.ones(length), -np.ones(len(previous))]),
-        ))
-        previous, start = border[2:-2], start + length
-    return tuple(maps)
-
-
-@lru_cache(maxsize=64)
 def symmetric_program(n: int) -> BilinearProgram:
-    """n(n+1)/2 multiplications: a Hankel program per peeled shell.
+    """n(n+1)/2 multiplications, one per packed parameter.
 
-    Shell k acts on the middle segment v[k : n-k] and its output embeds
-    back at the same offset.  The shells' parameter maps are linear in the
-    packed symmetric parameters, so the whole thing is one program; the
-    per-shell frequency-0 slots are structurally zero and are dropped,
-    leaving every remaining slot active.
+    Slot k belongs to packed parameter k, entry (i, j) of the upper
+    triangle.  A pair slot, i < j, forms w_ij = a_ij (v_i + v_j); the
+    diagonal slot of i forms d_i = (a_ii - sum_{j != i} a_ij) v_i.  Then
+    y_i = d_i + sum_{j != i} w_ij = sum_j a_ij v_j.  The diagonal factor is
+    linear in the parameters, so forming it is free.  Every map is an index
+    map, and the decoder is the vector encoder's transpose: each slot feeds
+    back the outputs whose inputs it summed.
     """
-    pieces = []
-    for k, shell_map in enumerate(symmetric_shell_maps(n)):
-        nk = n - 2 * k
-        segment = Select.take(n, k + np.arange(nk))
-        pieces.append(bilinear.conjugate_by(
-            hankel_program(nk), pre_param=shell_map, pre_vec=segment,
-            post=segment.T
-        ))
-    return bilinear.drop_inactive(reduce(bilinear.add, pieces))
+    i, j = np.triu_indices(n)  # row-major, as symmetric_pack_index packs
+    dim = len(i)
+    slots = np.arange(dim)
+    pair = np.flatnonzero(i != j)
+    diag = np.flatnonzero(i == j)  # diag[i] is the slot of (i, i)
+    enc_param = Select(
+        (dim, dim),
+        np.concatenate([slots, diag[i[pair]], diag[j[pair]]]),
+        np.concatenate([slots, pair, pair]),
+        np.concatenate([np.ones(dim), -np.ones(2 * len(pair))]),
+    )
+    enc_vec = Select(
+        (dim, n), np.concatenate([slots, pair]), np.concatenate([i, j[pair]])
+    )
+    return BilinearProgram(
+        enc_param=enc_param,
+        enc_vec=enc_vec,
+        dec=enc_vec.T,
+        active=np.ones(dim, dtype=bool),
+    )
 
 
 @lru_cache(maxsize=64)
@@ -358,60 +340,24 @@ def _hankel_steps(param, v, phi=None):
     return z[::-1], count
 
 
-@lru_cache(maxsize=64)
-def _border_index(n: int) -> np.ndarray:
-    """Packed indices of the border of every shell of an order-n symmetric
-    matrix, shell after shell, in Hankel parameter order: shell k's border
-    is row k and column n-1-k, and its parameter q sits on anti-diagonal
-    i + j = 2n-2-2k-q."""
-    index = []
-    for k in range((n + 1) // 2):
-        for s in range(2 * n - 2 - 2 * k, 2 * k - 1, -1):
-            i = max(k, s - (n - 1 - k))
-            index.append(symmetric_pack_index(n, i, s - i))
-    out = np.array(index, dtype=np.intp)
-    out.setflags(write=False)
-    return out
-
-
-def symmetric_shells(param, n: int):
-    """Yield (k, Hankel parameters of shell k) for the ceil(n/2) shells
-    peeled off the border of an order-n symmetric matrix.
-
-    Shell k has order n-2k and sits at offset k; the shells sum to the
-    matrix.  The shells peeled before shell k are Hankel, so their sum is
-    constant along each anti-diagonal, and it equals the matrix on shell
-    k-1's border, which the peel left zero.  So shell k is its border minus
-    shell k-1's border on the same anti-diagonals: O(n^2) work in all.
-    """
+def _symmetric_steps(param, n, v, phi=None):
+    """The maps of :func:`symmetric_program`: gather and sum the vector
+    into the slots, multiply by the parameter factors, sum back."""
     param = np.asarray(param, dtype=complex).reshape(-1)
+    v = np.asarray(v, dtype=complex)
     if len(param) != n * (n + 1) // 2:
         raise ValueError(
             f"symmetric of order {n} needs {n * (n + 1) // 2} parameters, "
             f"got {len(param)}"
         )
-    borders = param[_border_index(n)]
-    previous = np.zeros(2 * n + 3, dtype=complex)
-    start = 0
-    for k in range((n + 1) // 2):
-        border = borders[start:start + 2 * (n - 2 * k) - 1]
-        yield k, border - previous[2:-2]
-        previous, start = border, start + len(border)
-
-
-def _symmetric_steps(param, n, v, phi=None):
-    v = np.asarray(v, dtype=complex)
     if len(v) != n:
         raise ValueError(
             f"symmetric order {n} does not match vector length {len(v)}"
         )
-    z = np.zeros_like(v)
-    count = 0
-    for k, shell in symmetric_shells(param, n):
-        w, c = _hankel_steps(shell, v[k:n - k], phi)
-        z[k:n - k] += w
-        count += c
-    return z, count
+    program = symmetric_program(n)
+    prod = program.enc_vec @ v
+    prod *= _coefficients(program.enc_param @ param, phi, v)
+    return program.dec @ prod, prod.size
 
 
 def _tph_steps(t_param, h_param, v, phi=None):
@@ -460,7 +406,7 @@ def direct_hankel_matvec(rep: HankelRep, v) -> np.ndarray:
 
 
 def direct_symmetric_matvec(rep: SymmetricRep, v) -> np.ndarray:
-    """Peel Hankel shells off the border and accumulate their products."""
+    """One product per pair and per diagonal entry, summed back."""
     return _symmetric_steps(rep.param, rep.n, v)[0]
 
 

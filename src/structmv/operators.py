@@ -69,7 +69,8 @@ class Select(Operator):
     vals[k], every other entry is zero.  The builders' index maps hold
     0/+-1 entries.  Entries are summed per position and kept sorted by
     row, so that rows with one entry each apply as a gather or a scatter,
-    and other rows as one segmented sum."""
+    and other rows as one segmented sum.  ``is_gather`` is True when row k
+    has one entry for every k, so that applying the map is one gather."""
 
     def __init__(self, shape, rows, cols, vals=None):
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
@@ -83,7 +84,7 @@ class Select(Operator):
         key, vals = key[keep], vals[keep]
         self.shape = (m, n)
         self.rows, self.cols, self.vals = key // max(n, 1), key % max(n, 1), vals
-        self._gather = len(key) == m and np.array_equal(self.rows, np.arange(m))
+        self.is_gather = len(key) == m and np.array_equal(self.rows, np.arange(m))
         self._unit = bool(np.all(vals == 1))
         self._out_rows, self._starts = np.unique(self.rows, return_index=True)
         self._one_per_row = len(self._out_rows) == len(key)
@@ -103,7 +104,7 @@ class Select(Operator):
         terms = x[self.cols]
         if not self._unit:
             terms = terms * self.vals.reshape((-1,) + (1,) * (x.ndim - 1))
-        if self._gather:
+        if self.is_gather:
             return terms
         out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
         if self._one_per_row:

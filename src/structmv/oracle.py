@@ -13,7 +13,6 @@ from .structures import (
     SymmetricRep,
     ToeplitzPlusHankelRep,
     ToeplitzRep,
-    symmetric_pack_index,
 )
 
 
@@ -34,17 +33,18 @@ def dense(m: StructuredMatrix) -> np.ndarray:
         idx = 2 * m.n - 2 - (np.arange(m.n)[:, None] + np.arange(m.n)[None, :])
         return m.param[idx]
     if isinstance(m, SymmetricRep):
-        out = np.zeros((m.n, m.n), dtype=complex)
-        for i in range(m.n):
-            for j in range(i, m.n):
-                out[i, j] = out[j, i] = m.param[symmetric_pack_index(m.n, i, j)]
+        # the packed position of (i, j), i <= j, as symmetric_pack_index has it
+        i, j = np.triu_indices(m.n)
+        values = m.param[i * m.n - i * (i + 1) // 2 + j]
+        out = np.empty((m.n, m.n), dtype=complex)
+        out[i, j] = values
+        out[j, i] = values
         return out
     if isinstance(m, ToeplitzPlusHankelRep):
         return dense(m.toeplitz) + dense(m.hankel)
     if isinstance(m, SparseRep):
         out = np.zeros((m.n, m.n), dtype=complex)
-        for (i, j), value in zip(m.pattern.support, m.values):
-            out[i, j] = value
+        out[m.pattern.rows, m.pattern.cols] = m.values
         return out
     if isinstance(m, MultilevelRep):
         out = dense(m.levels[0])

@@ -110,13 +110,16 @@ class SparsityPattern:
 
     The stored order of ``support`` is the canonical enumeration that value
     vectors align with; ``rows`` and ``cols`` hold the same pairs as index
-    arrays, built once here and left out of equality and hashing.
+    arrays, built once here and left out of equality and hashing.  Equality
+    is by value; the hash is computed once here, since hashing the support
+    walks all of it.
     """
 
     n: int
     support: tuple
     rows: np.ndarray = field(init=False, repr=False, compare=False)
     cols: np.ndarray = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = tuple((int(i), int(j)) for i, j in self.support)
@@ -125,6 +128,10 @@ class SparsityPattern:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "rows", index[0])
         object.__setattr__(self, "cols", index[1])
+        object.__setattr__(self, "_hash", hash((self.n, support)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, eq=False)

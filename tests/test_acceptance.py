@@ -14,7 +14,14 @@ import numpy as np
 
 import structmv as sm
 from structmv import bilinear, cli, kernels, multilevel, oracle, transform
-from util import SINGLE_LEVEL, gaussian, random_instance, rel_err, run_cli
+from util import (
+    SINGLE_LEVEL,
+    gaussian,
+    random_instance,
+    rel_err,
+    run_cli,
+    symmetric_shell_maps,
+)
 
 
 def _finish(number, label, failures, elapsed=None, limit=None):
@@ -228,7 +235,7 @@ def test_criterion_5_identity_resolution_suite():
         rep = sm.SymmetricRep(n, gaussian(rng, n * (n + 1) // 2))
         want = oracle.dense(rep)
         total = np.zeros((n, n), dtype=complex)
-        for k, shell_map in enumerate(kernels.symmetric_shell_maps(n)):
+        for k, shell_map in enumerate(symmetric_shell_maps(n)):
             nk = n - 2 * k
             shell = shell_map @ rep.param
             total[k:k + nk, k:k + nk] += oracle.dense(sm.HankelRep(nk, shell))

@@ -1,11 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import structmv as sm
-from structmv import cli, kernels, multilevel
+from structmv import cli, kernels, multilevel, oracle
 from util import run_cli
 
 
@@ -176,9 +177,35 @@ def test_verify_builds_the_program_once(tmp_path, monkeypatch, capsys):
     assert len(full_builds) == 1
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 4.00 GiB", ""])
+def test_verify_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, message):
+    gen = run_cli(["gen", "--structure", "toeplitz", "--n", "4",
+                   "-o", "t.json"], tmp_path)
+    assert gen.returncode == 0
+
+    def no_memory(m):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(oracle, "dense", no_memory)
+    assert cli.main(["verify", str(tmp_path / "t.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert message in err[0]
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------
+
+def test_count_all_output_is_unchanged(tmp_path):
+    # counts come from param_dim; the table is byte-for-byte the one that
+    # the per-structure closed forms printed
+    r = run_cli(["count", "--structure", "all", "--n", "1",
+                 "--n-max", "12"], tmp_path)
+    assert r.returncode == 0
+    want = Path(__file__).parent / "data" / "count_all_n1_12.txt"
+    assert r.stdout == want.read_text()
+
 
 def _count_column(stdout, column):
     rows = [line.split() for line in stdout.strip().splitlines()[1:]]

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 import structmv as sm
-from structmv import bilinear, kernels, oracle, transform
-from util import SINGLE_LEVEL, gaussian, random_instance, rel_err
+from structmv import bilinear, kernels, multilevel, operators, oracle, transform
+from util import (
+    SINGLE_LEVEL,
+    gaussian,
+    random_instance,
+    rel_err,
+    symmetric_shell_maps,
+    symmetric_shells,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +151,7 @@ def test_symmetric_shells_reconstruct_matrix():
         rep = sm.SymmetricRep(n, gaussian(rng, n * (n + 1) // 2))
         want = oracle.dense(rep)
         total = np.zeros((n, n), dtype=complex)
-        for k, shell_map in enumerate(kernels.symmetric_shell_maps(n)):
+        for k, shell_map in enumerate(symmetric_shell_maps(n)):
             nk = n - 2 * k
             h = shell_map @ rep.param
             total[k:k + nk, k:k + nk] += oracle.dense(sm.HankelRep(nk, h))
@@ -169,7 +176,7 @@ def test_symmetric_residual_borders_vanish():
     rep = sm.SymmetricRep(n, gaussian(rng, n * (n + 1) // 2))
     residual = oracle.dense(rep)
     scale = np.abs(residual).max()
-    for k, shell_map in enumerate(kernels.symmetric_shell_maps(n)):
+    for k, shell_map in enumerate(symmetric_shell_maps(n)):
         nk = n - 2 * k
         exact = _border_hankel_params(residual)
         mapped = shell_map @ rep.param
@@ -187,6 +194,47 @@ def test_direct_symmetric_identity():
     v = np.array([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_allclose(kernels.direct_symmetric_matvec(rep, v), v,
                                atol=1e-12)
+
+
+def test_symmetric_maps_are_signed_selections():
+    for n in range(1, 21):
+        p = kernels.symmetric_program(n)
+        for op in (p.enc_param, p.enc_vec, p.dec):
+            assert set(np.unique(op.to_dense())) <= {0, 1, -1}
+
+
+def test_symmetric_count_and_prune_check():
+    for n in range(1, 41):
+        p = kernels.symmetric_program(n)
+        report = bilinear.prune_check(p)
+        assert p.r == p.count == n * (n + 1) // 2
+        assert report.match and report.measured == p.count
+
+
+def test_symmetric_small_maps_are_dense():
+    # index maps of at most SMALL_DENSE entries apply as one matrix product
+    for n, kind in ((8, operators.Dense), (64, operators.Select)):
+        p = kernels.symmetric_program(n)
+        for op in (p.enc_param, p.enc_vec, p.dec):
+            assert isinstance(op, kind)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["S_n-T8", "T8-S_n"])
+def test_symmetric_kron_with_toeplitz(first):
+    rng = np.random.default_rng(20 + first)
+    for n in (1, 2, 3, 5, 8, 11):
+        s = random_instance("symmetric", n, rng)
+        t = random_instance("toeplitz", 8, rng)
+        m = sm.MultilevelRep((s, t) if first else (t, s))
+        v = gaussian(rng, sm.order(m))
+        want = oracle.dense(m) @ v
+        program = multilevel.multilevel_program(m)
+        got, count = bilinear.apply(program, multilevel.param_vector(m), v)
+        assert rel_err(got, want) < 1e-9
+        assert count == program.count == sm.param_dim(m)
+        got, count = multilevel.multilevel_matvec_direct(m, v)
+        assert rel_err(got, want) < 1e-9
+        assert count == sm.param_dim(m)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +431,10 @@ def test_symmetric_direct_sweep():
         got, count = kernels.direct_matvec(m, v)
         assert rel_err(got, oracle.dense(m) @ v) < 1e-9
         assert count == sm.param_dim(m)
-        if n <= 12:  # the peel agrees with the program's shell maps
-            maps = kernels.symmetric_shell_maps(n)
-            for k, shell in kernels.symmetric_shells(m.param, n):
-                assert rel_err(shell, maps[k].to_dense() @ m.param) < 1e-12
+        if n <= 12:  # the peel by values agrees with the shell maps
+            maps = symmetric_shell_maps(n)
+            for k, shell in symmetric_shells(m.param, n):
+                assert rel_err(shell, maps[k] @ m.param) < 1e-12
 
 
 def test_direct_matvec_rejects_length_mismatch():

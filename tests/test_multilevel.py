@@ -235,6 +235,25 @@ def test_direct_builds_each_tail_shape_once(monkeypatch):
     assert builds == [2]
 
 
+def test_equal_sparse_tails_share_one_cache_entry():
+    # two equal patterns that are distinct objects hash alike, once each
+    support = ((0, 1), (2, 0), (2, 2))
+    patterns = [sm.SparsityPattern(3, support), sm.SparsityPattern(3, list(support))]
+    assert patterns[0] is not patterns[1]
+    assert patterns[0] == patterns[1] and hash(patterns[0]) == hash(patterns[1])
+    multilevel._tail_program.cache_clear()
+    rng = np.random.default_rng(15)
+    for pattern in patterns:
+        m = sm.MultilevelRep((random_instance("circulant", 2, rng),
+                              sm.SparseRep(pattern, gaussian(rng, 3))))
+        v = gaussian(rng, sm.order(m))
+        got, count = multilevel.multilevel_matvec_direct(m, v)
+        assert rel_err(got, oracle.dense(m) @ v) < 1e-9
+        assert count == sm.param_dim(m)
+    info = multilevel._tail_program.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 @pytest.mark.parametrize("support", [(), ((1, 2), (0, 0), (1, 0), (1, 1))],
                          ids=["empty", "repeated-row"])
 def test_sparse_edge_supports_as_every_level(support):

@@ -3,6 +3,7 @@ import pytest
 
 import structmv as sm
 from structmv import oracle
+from structmv.structures import symmetric_pack_index
 from util import SINGLE_LEVEL, gaussian, random_instance
 
 
@@ -29,6 +30,26 @@ def test_dense_two_level_circulant():
         oracle.dense(m),
         [[3, 4, 6, 8], [4, 3, 8, 6], [6, 8, 3, 4], [8, 6, 4, 3]],
     )
+
+
+def test_dense_symmetric_matches_pack_formula():
+    rng = np.random.default_rng(30)
+    for n in range(1, 13):
+        m = random_instance("symmetric", n, rng)
+        want = np.array([[m.param[symmetric_pack_index(n, i, j)]
+                          for j in range(n)] for i in range(n)])
+        np.testing.assert_array_equal(oracle.dense(m), want)
+
+
+@pytest.mark.parametrize("support", [(), ((1, 2), (0, 0), (1, 0), (1, 1))],
+                         ids=["empty", "repeated-row"])
+def test_dense_sparse_edge_supports(support):
+    values = gaussian(np.random.default_rng(31), len(support))
+    want = np.zeros((3, 3), dtype=complex)
+    for (i, j), value in zip(support, values):
+        want[i, j] = value
+    m = sm.SparseRep(sm.SparsityPattern(3, support), values)
+    np.testing.assert_array_equal(oracle.dense(m), want)
 
 
 def test_naive_matvec_identity():

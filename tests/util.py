@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import structmv as sm
+from structmv.structures import symmetric_pack_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -66,3 +67,62 @@ def run_cli(args, cwd):
         capture_output=True,
         text=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# Hankel shell peel of a symmetric matrix: a reference identity
+# ---------------------------------------------------------------------------
+#
+# Shell k (k = 0, 1, ...) of an order-n symmetric matrix is the Hankel
+# matrix of order n-2k at offset k that matches the first row and last
+# column of the residual left by shells 0..k-1; the ceil(n/2) shells sum to
+# the matrix.  Each shell's Hankel parameters are linear in the packed
+# parameters, which gives a second construction with n(n+1)/2 products.
+
+
+def border_index(n):
+    """Packed indices of the border of every shell, shell after shell, in
+    Hankel parameter order: shell k's border is row k and column n-1-k, and
+    its parameter q sits on anti-diagonal i + j = 2n-2-2k-q."""
+    index = []
+    for k in range((n + 1) // 2):
+        for s in range(2 * n - 2 - 2 * k, 2 * k - 1, -1):
+            i = max(k, s - (n - 1 - k))
+            index.append(symmetric_pack_index(n, i, s - i))
+    return np.array(index, dtype=np.intp)
+
+
+def symmetric_shells(param, n):
+    """Yield (k, Hankel parameters of shell k), peeled by values.
+
+    The shells before shell k are Hankel, so their sum is constant along
+    each anti-diagonal and equals the matrix on shell k-1's border, which
+    the peel left zero.  So shell k is its border minus shell k-1's border
+    on the same anti-diagonals.
+    """
+    borders = np.asarray(param, dtype=complex)[border_index(n)]
+    previous = np.zeros(2 * n + 3, dtype=complex)
+    start = 0
+    for k in range((n + 1) // 2):
+        border = borders[start:start + 2 * (n - 2 * k) - 1]
+        yield k, border - previous[2:-2]
+        previous, start = border, start + len(border)
+
+
+def symmetric_shell_maps(n):
+    """Dense (2(n-2k)-1, n(n+1)/2) matrices taking the packed parameters to
+    each shell's Hankel parameters: the difference of two 0/1 selections,
+    shell k's border and shell k-1's on the same anti-diagonals."""
+    index = border_index(n)
+    maps = []
+    previous = np.empty(0, dtype=np.intp)
+    start = 0
+    for k in range((n + 1) // 2):
+        length = 2 * (n - 2 * k) - 1
+        border = index[start:start + length]
+        shell_map = np.zeros((length, n * (n + 1) // 2))
+        shell_map[np.arange(length), border] += 1
+        shell_map[np.arange(len(previous)), previous] -= 1
+        maps.append(shell_map)
+        previous, start = border[2:-2], start + length
+    return tuple(maps)
