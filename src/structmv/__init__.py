@@ -5,11 +5,13 @@ Circulant, Toeplitz, Hankel, symmetric, Toeplitz-plus-Hankel, sparse, and
 arbitrarily nested multilevel (Kronecker) structures, each with a bilinear
 program whose genuine-multiplication count is minimal and measured at
 runtime, plus a literal direct path and a dense brute-force oracle for
-cross-checking.
+cross-checking.  ``prepare(m)`` encodes a matrix's parameters once, so that
+each direct product is vector encode, pointwise multiply and decode.
 """
 
 from .bilinear import BilinearProgram, CountReport, apply, conjugate_by, kron, prune_check
 from .kernels import (
+    Prepared,
     circulant_program,
     direct_circulant_matvec,
     direct_hankel_matvec,
@@ -30,6 +32,7 @@ from .multilevel import (
     multilevel_matvec_direct,
     multilevel_program,
     param_vector,
+    prepare,
 )
 from .oracle import dense, naive_matvec
 from .structures import (
@@ -57,6 +60,7 @@ __all__ = [
     "CountReport",
     "HankelRep",
     "MultilevelRep",
+    "Prepared",
     "SparseRep",
     "SparsityPattern",
     "StructureError",
@@ -88,6 +92,7 @@ __all__ = [
     "order",
     "param_dim",
     "param_vector",
+    "prepare",
     "prune_check",
     "sparse_program",
     "symmetric_program",

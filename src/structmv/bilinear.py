@@ -125,10 +125,15 @@ def apply(program: BilinearProgram, a, v) -> tuple[np.ndarray, int]:
     """Evaluate the program on parameter vector ``a`` and input ``v``.
 
     Returns (output, measured_count) where measured_count is the number of
-    pointwise products actually evaluated (the active slots).
+    pointwise products actually evaluated (the active slots).  A ``v`` of
+    shape (n_in, k) is a block of k vectors: the output has shape
+    (n_out, k) and the count is k times the active slots.
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = np.asarray(v, dtype=complex)
+    block = v.ndim == 2
+    if not block:
+        v = v.reshape(-1)
     if len(a) != program.d_param:
         raise ValueError(
             f"parameter vector has length {len(a)}, expected {program.d_param}"
@@ -140,9 +145,11 @@ def apply(program: BilinearProgram, a, v) -> tuple[np.ndarray, int]:
     pa = program.enc_param.apply(a)
     pv = program.enc_vec.apply(v)
     act = program.active
-    w = np.zeros(program.r, dtype=complex)
+    w = np.zeros((program.r,) + v.shape[1:], dtype=complex)
+    if block:
+        pa = pa[:, None]
     w[act] = pa[act] * pv[act]
-    return program.dec.apply(w), int(act.sum())
+    return program.dec.apply(w), int(act.sum()) * (v.shape[1] if block else 1)
 
 
 def kron(p1: BilinearProgram, p2: BilinearProgram) -> BilinearProgram:

@@ -5,8 +5,10 @@ Each structure gets two evaluation routes that must agree:
 * a builder producing a :class:`~structmv.bilinear.BilinearProgram` whose
   active-slot count is provably minimal for that structure, and
 * a literal step-by-step matvec (the "direct path") that performs the same
-  stages inline, on a vector or on a block of vectors along a trailing
-  axis, with an optional per-column parameter factor.  The multilevel
+  stages inline.  :func:`prepare_level` encodes a matrix's parameters once
+  into its stage's slot coefficients and keeps them on the matrix, so a
+  direct product is vector encode, pointwise multiply and decode, on a
+  vector or on a block of vectors along a trailing axis.  The multilevel
   direct route runs the head level's stage over its encoded tail this way.
 
 The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
@@ -19,15 +21,17 @@ only.  Toeplitz-plus-Hankel shifts a multiple of the all-ones matrix between
 its two components so that the Toeplitz part's frequency-1 slot vanishes as
 well, saving a second multiplication.  Sparse is the usual support-driven
 matvec, as one gather, one multiply and one segmented sum.  The direct
-symmetric and circulant stages apply the maps of :func:`symmetric_program`
-and :func:`circulant_program`, so the choice between a small dense matrix
-and an index map or ``np.fft`` is the operators' one rule.
+stages apply the maps of :func:`circulant_program` (of twice the order for
+Toeplitz, Hankel and Toeplitz-plus-Hankel), :func:`symmetric_program` and
+:func:`sparse_program`, so the choice between a small dense matrix and an
+index map or ``np.fft`` is the operators' one rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -69,11 +73,7 @@ class EmbeddingSpec:
         entry (the product's first n outputs do not depend on it)."""
         n = self.n
         param = np.asarray(param, dtype=complex).reshape(-1)
-        if len(param) != 2 * n - 1:
-            raise ValueError(
-                f"toeplitz of order {n} needs {2 * n - 1} parameters, "
-                f"got {len(param)}"
-            )
+        _check_length("toeplitz", n, param, 2 * n - 1)
         c = np.empty(2 * n, dtype=complex)
         c[:n] = param[n - 1:]
         c[n] = -param.sum() if b is None else b
@@ -161,17 +161,23 @@ def symmetric_program(n: int) -> BilinearProgram:
     i, j = np.triu_indices(n)  # row-major, as symmetric_pack_index packs
     dim = len(i)
     slots = np.arange(dim)
-    pair = np.flatnonzero(i != j)
-    diag = np.flatnonzero(i == j)  # diag[i] is the slot of (i, i)
-    enc_param = Select(
-        (dim, dim),
-        np.concatenate([slots, diag[i[pair]], diag[j[pair]]]),
-        np.concatenate([slots, pair, pair]),
-        np.concatenate([np.ones(dim), -np.ones(2 * len(pair))]),
-    )
-    enc_vec = Select(
-        (dim, n), np.concatenate([slots, pair]), np.concatenate([i, j[pair]])
-    )
+    pair = i != j
+    # the entries are listed in (row, column) order, so Select keeps them
+    # without a sort: slot k reads v_i, then v_j for a pair
+    reads = np.stack([np.ones(dim, dtype=bool), pair], axis=1)
+    enc_vec = Select((dim, n), np.repeat(slots, 1 + pair),
+                     np.stack([i, j], axis=1)[reads])
+    # a pair slot reads its own parameter; the diagonal slot of row i reads
+    # a_ii and minus every a_ij, at the slots pack[i] in increasing order
+    pack = np.empty((n, n), dtype=np.intp)
+    pack[i, j] = pack[j, i] = slots
+    per_slot = np.where(pair, 1, n)
+    rows = np.repeat(slots, per_slot)
+    cols, vals = rows.copy(), np.ones(len(rows))
+    at = (np.cumsum(per_slot) - n)[~pair][:, None] + np.arange(n)
+    cols[at] = pack
+    vals[at] = np.where(np.eye(n, dtype=bool), 1.0, -1.0)
+    enc_param = Select((dim, dim), rows, cols, vals)
     return BilinearProgram(
         enc_param=enc_param,
         enc_vec=enc_vec,
@@ -288,136 +294,214 @@ def tph_gauge_embed(n: int) -> Select:
 # direct paths
 # ---------------------------------------------------------------------------
 #
-# Each stage acts on the first axis of x, of shape (n,) or (n, B), so a
-# block of B vectors costs one pass.  An optional parameter-side factor phi
-# of shape (B,) multiplies the level's parameters into column t as
-# phi[t]: the slot products become (a_hat[s] * phi[t]) * x_hat[s, t], the
-# outer-product parameters of a Kronecker product with whatever phi
-# encodes.  The multilevel direct route passes the tail's encoded
-# parameters as phi.  Counts are the products formed: active slots times B.
+# A stage encodes x, multiplies it pointwise by the slot coefficients that
+# :func:`prepare_level` encoded once per matrix, and decodes.  It acts on
+# the first axis of x, of shape (n,) or (n, ...), so a block of vectors
+# costs one pass.  The coefficients have shape (slots,) or (slots, B), their
+# second axis matching the second of x: the multilevel route passes the
+# head's coefficients times the tail's encoded parameters.  Counts are the
+# products formed: active slots times the columns of x.
 
-def _coefficients(a_hat, phi, x):
-    """Parameter side of the slot products for a block ``x``."""
-    if phi is not None:
-        return np.outer(a_hat, phi)
-    return a_hat.reshape((-1,) + (1,) * (x.ndim - 1))
-
-
-def _circulant_steps(c, x, first=0, phi=None):
-    """Transform both sides with the maps of :func:`circulant_program`,
-    multiply pointwise over slots ``first`` and up, transform back.  Slots
-    below ``first`` are structurally zero and are neither formed nor
-    counted.  Returns (product, genuine multiplication count)."""
-    c = np.asarray(c, dtype=complex).reshape(-1)
-    x = np.asarray(x, dtype=complex)
-    n = len(c)
-    if len(x) != n:
-        raise ValueError(
-            f"circulant order {n} does not match vector length {len(x)}"
-        )
-    program = circulant_program(n)
-    prod = program.enc_vec @ x
-    prod[:first] = 0
-    prod[first:] *= _coefficients(program.enc_param @ c, phi, x)[first:]
-    return program.dec @ prod, (n - first) * (x.size // n)
+def _form_products(coef, x_hat) -> int:
+    """Multiply the last len(coef) slots of ``x_hat`` in place by
+    ``coef``.  The slots before them are structurally zero: they are set
+    to zero, and neither formed nor counted.  Returns the products formed."""
+    first = len(x_hat) - len(coef)
+    x_hat[:first] = 0
+    active = x_hat[first:]
+    active *= coef.reshape(coef.shape + (1,) * (x_hat.ndim - coef.ndim))
+    return active.size
 
 
-def _toeplitz_steps(param, v, b=None, first=1, phi=None):
-    """Frequency 0 is structurally zero only for the default ``b``, so a
-    caller that sets ``b`` passes ``first=0``; Toeplitz-plus-Hankel skips
-    frequency 1 as well with ``first=2``."""
-    v = np.asarray(v, dtype=complex)
-    n = len(v)
-    c = toeplitz_embedding(n).embed(param, b=b)
-    padded = np.concatenate([v, np.zeros_like(v)])
-    z, count = _circulant_steps(c, padded, first, phi)
-    return z[:n], count
+def _program_stage(program, coef, x):
+    """The stage on the vector encoder and decoder of ``program``:
+    circulant, symmetric and sparse use their own program's maps."""
+    x_hat = program.enc_vec @ x
+    count = _form_products(coef, x_hat)
+    return program.dec @ x_hat, count
 
 
-def _hankel_steps(param, v, phi=None):
-    param = np.asarray(param, dtype=complex).reshape(-1)
-    z, count = _toeplitz_steps(param[::-1], v, phi=phi)
+def _toeplitz_stage(program, coef, x):
+    """The order-2n circulant stage of ``program`` on the zero-padded
+    vector; the first n outputs are the product."""
+    z, count = _program_stage(program, coef,
+                              np.concatenate([x, np.zeros_like(x)]))
+    return z[:len(x)], count
+
+
+def _hankel_stage(program, coef, x):
+    """Toeplitz on the reversed parameters (encoded in ``coef``), output
+    reversed."""
+    z, count = _toeplitz_stage(program, coef, x)
     return z[::-1], count
 
 
-def _symmetric_steps(param, n, v, phi=None):
-    """The maps of :func:`symmetric_program`: gather and sum the vector
-    into the slots, multiply by the parameter factors, sum back."""
-    param = np.asarray(param, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex)
-    if len(param) != n * (n + 1) // 2:
+def _tph_stage(program, coef, x):
+    """The Hankel branch on ``coef[:2n-1]`` and the Toeplitz branch on
+    ``coef[2n-1:]``, which skips frequency 1 as well; both branches share
+    one transform of the zero-padded vector."""
+    n = len(x)
+    x_hat = program.enc_vec @ np.concatenate([x, np.zeros_like(x)])
+    hankel = x_hat.copy()
+    count = (_form_products(coef[:2 * n - 1], hankel)
+             + _form_products(coef[2 * n - 1:], x_hat))
+    return (program.dec @ hankel)[:n][::-1] + (program.dec @ x_hat)[:n], count
+
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """A matrix ready for direct products, with everything that depends
+    only on the matrix computed once.
+
+    ``stage(coef, x)`` is the direct stage of the matrix, or of its first
+    level, and ``coef`` its read-only slot coefficients.  For a multilevel
+    matrix, ``tail`` is the program of the levels after the first: its
+    vector encoder maps each first-level block of the vector to the tail's
+    slots before the stage and its decoder maps them back after it, and
+    ``coef`` is the first level's coefficients times the tail's encoded
+    parameters, one column per tail slot.  ``kind`` names the structure in
+    error messages.
+    """
+
+    kind: str
+    n: int
+    stage: Callable
+    coef: np.ndarray
+    tail: BilinearProgram | None = None
+
+    def apply(self, v) -> tuple[np.ndarray, int]:
+        """Product with ``v`` of shape (n,), or with each column of ``v`` of
+        shape (n, k).  Returns (product, count); the count is the genuine
+        multiplications formed, k times the parameter dimension."""
+        v = np.asarray(v, dtype=complex)
+        if v.ndim not in (1, 2):
+            raise ValueError(
+                f"expected a vector or a block of vectors, got shape {v.shape}"
+            )
+        if len(v) != self.n:
+            raise ValueError(
+                f"{self.kind} order {self.n} does not match vector length "
+                f"{len(v)}"
+            )
+        if self.tail is None:
+            return self.stage(self.coef, v)
+        enc_vec, dec = self.tail.enc_vec, self.tail.dec
+        blocks = v.reshape((self.n // enc_vec.shape[1], enc_vec.shape[1])
+                           + v.shape[1:])
+        x = np.swapaxes(enc_vec @ np.swapaxes(blocks, 0, 1), 0, 1)
+        z, count = self.stage(self.coef, x)
+        out = np.swapaxes(dec @ np.swapaxes(z, 0, 1), 0, 1)
+        return out.reshape(v.shape), count
+
+
+def memo(m: StructuredMatrix, build) -> Prepared:
+    """``build(m)``, computed once per matrix object and kept on the object
+    itself.  A representation is immutable and compared by identity, so
+    the memo is a pure function of the object and lives as long as it."""
+    prepared = vars(m).get("_prepared")
+    if prepared is None:
+        prepared = build(m)
+        object.__setattr__(m, "_prepared", prepared)
+    return prepared
+
+
+def prepare_level(m: StructuredMatrix) -> Prepared:
+    """The single-level matrix ``m`` prepared for direct products, once
+    per matrix object."""
+    return memo(m, _encode)
+
+
+def _check_length(kind, n, param, need):
+    if len(param) != need:
         raise ValueError(
-            f"symmetric of order {n} needs {n * (n + 1) // 2} parameters, "
-            f"got {len(param)}"
+            f"{kind} of order {n} needs {need} parameters, got {len(param)}"
         )
-    if len(v) != n:
-        raise ValueError(
-            f"symmetric order {n} does not match vector length {len(v)}"
-        )
-    program = symmetric_program(n)
-    prod = program.enc_vec @ v
-    prod *= _coefficients(program.enc_param @ param, phi, v)
-    return program.dec @ prod, prod.size
 
 
-def _tph_steps(t_param, h_param, v, phi=None):
-    t_param = np.asarray(t_param, dtype=complex).reshape(-1)
-    h_param = np.asarray(h_param, dtype=complex).reshape(-1)
-    n = (len(t_param) + 1) // 2
-    shift = tph_alpha(n) @ t_param
-    z_h, c_h = _hankel_steps(h_param + shift, v, phi)
-    # the shifted Toeplitz part also has a vanishing frequency-1 slot
-    z_t, c_t = _toeplitz_steps(t_param - shift, v, first=2, phi=phi)
-    return z_h + z_t, c_h + c_t
+def _toeplitz_coefficients(param, n, b=None, first=1):
+    """Slot coefficients of the order-2n embedding circulant from slot
+    ``first`` up.  Frequency 0 is structurally zero only for the default
+    ``b``; Toeplitz-plus-Hankel skips frequency 1 as well with first=2."""
+    c = toeplitz_embedding(n).embed(param, b=b)
+    return (circulant_program(2 * n).enc_param @ c)[first:]
 
 
-def _sparse_steps(rep: SparseRep, v, phi=None):
-    """One gather of v by column, one multiply by the values, and one
-    segmented sum by row; rows that repeat are summed by ``np.add.at``."""
-    v = np.asarray(v, dtype=complex)
-    n = rep.n
-    if len(v) != n:
-        raise ValueError(
-            f"sparse order {n} does not match vector length {len(v)}"
-        )
-    pattern = rep.pattern
-    batch = v.size // n
-    terms = (_coefficients(rep.values, phi, v) * v[pattern.cols]).reshape(-1)
-    index = (pattern.rows[:, None] * batch + np.arange(batch)).reshape(-1)
-    z = np.zeros(n * batch, dtype=complex)
-    np.add.at(z, index, terms)
-    return z.reshape(v.shape), len(terms)
+def _encode(m: StructuredMatrix) -> Prepared:
+    """Encode the parameters of ``m`` into its stage's slot coefficients."""
+    if isinstance(m, CirculantRep):
+        _check_length("circulant", m.n, m.param, m.n)
+        program = circulant_program(m.n)
+        kind, stage = "circulant", partial(_program_stage, program)
+        coef = program.enc_param @ m.param
+    elif isinstance(m, ToeplitzRep):
+        kind = "toeplitz"
+        stage = partial(_toeplitz_stage, circulant_program(2 * m.n))
+        coef = _toeplitz_coefficients(m.param, m.n)
+    elif isinstance(m, HankelRep):
+        kind = "hankel"
+        stage = partial(_hankel_stage, circulant_program(2 * m.n))
+        coef = _toeplitz_coefficients(m.param[::-1], m.n)
+    elif isinstance(m, SymmetricRep):
+        _check_length("symmetric", m.n, m.param, m.n * (m.n + 1) // 2)
+        program = symmetric_program(m.n)
+        kind, stage = "symmetric", partial(_program_stage, program)
+        coef = program.enc_param @ m.param
+    elif isinstance(m, ToeplitzPlusHankelRep):
+        n, t, h = m.n, m.toeplitz.param, m.hankel.param
+        _check_length("toeplitz", n, t, 2 * n - 1)
+        shift = tph_alpha(n) @ t
+        kind = "toeplitz_plus_hankel"
+        stage = partial(_tph_stage, circulant_program(2 * n))
+        coef = np.concatenate([
+            _toeplitz_coefficients((h + shift)[::-1], n),
+            _toeplitz_coefficients(t - shift, n, first=2),
+        ])
+    elif isinstance(m, SparseRep):
+        _check_length("sparse", m.n, m.values, len(m.pattern.rows))
+        kind, stage = "sparse", partial(_program_stage, sparse_program(m.pattern))
+        coef = m.values
+    else:
+        raise TypeError(f"no single-level direct path for {type(m).__name__}")
+    coef.setflags(write=False)
+    return Prepared(kind, m.n, stage, coef)
 
 
 def direct_circulant_matvec(rep: CirculantRep, v) -> np.ndarray:
     """Transform, multiply pointwise, transform back."""
-    return _circulant_steps(rep.param, v)[0]
+    return prepare_level(rep).apply(v)[0]
 
 
 def direct_toeplitz_matvec(rep: ToeplitzRep, v, b=None) -> np.ndarray:
     """Circulant embedding of twice the order applied to the zero-padded
-    vector; the first n outputs are the product for any choice of ``b``."""
-    return _toeplitz_steps(rep.param, v, b=b, first=1 if b is None else 0)[0]
+    vector; the first n outputs are the product for any choice of ``b``,
+    which is the embedding's free entry.  A ``b`` other than the default
+    is encoded for this call only."""
+    if b is None:
+        return prepare_level(rep).apply(v)[0]
+    stage = partial(_toeplitz_stage, circulant_program(2 * rep.n))
+    coef = _toeplitz_coefficients(rep.param, rep.n, b=b, first=0)
+    return Prepared("toeplitz", rep.n, stage, coef).apply(v)[0]
 
 
 def direct_hankel_matvec(rep: HankelRep, v) -> np.ndarray:
     """Toeplitz on reversed parameters, output reversed."""
-    return _hankel_steps(rep.param, v)[0]
+    return prepare_level(rep).apply(v)[0]
 
 
 def direct_symmetric_matvec(rep: SymmetricRep, v) -> np.ndarray:
     """One product per pair and per diagonal entry, summed back."""
-    return _symmetric_steps(rep.param, rep.n, v)[0]
+    return prepare_level(rep).apply(v)[0]
 
 
 def direct_tph_matvec(rep: ToeplitzPlusHankelRep, v) -> np.ndarray:
     """Shift the all-ones gauge, then Hankel plus Toeplitz products."""
-    return _tph_steps(rep.toeplitz.param, rep.hankel.param, v)[0]
+    return prepare_level(rep).apply(v)[0]
 
 
 def direct_sparse_matvec(rep: SparseRep, v) -> np.ndarray:
-    """Usual support-driven matrix-vector product."""
-    return _sparse_steps(rep, v)[0]
+    """Usual support-driven matrix-vector product: one gather, one
+    multiply by the values and one segmented sum."""
+    return prepare_level(rep).apply(v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,23 +536,17 @@ def single_level_params(m: StructuredMatrix) -> np.ndarray:
 
 def direct_stage(m: StructuredMatrix, x, phi=None) -> tuple[np.ndarray, int]:
     """The structure's direct stage on ``x``, a vector or an (n, B) block
-    of B vectors; ``phi`` of shape (B,) scales the parameters per column
-    (see the direct-path stages).  Returns (product, count)."""
-    if isinstance(m, CirculantRep):
-        return _circulant_steps(m.param, x, phi=phi)
-    if isinstance(m, ToeplitzRep):
-        return _toeplitz_steps(m.param, x, phi=phi)
-    if isinstance(m, HankelRep):
-        return _hankel_steps(m.param, x, phi)
-    if isinstance(m, SymmetricRep):
-        return _symmetric_steps(m.param, m.n, x, phi)
-    if isinstance(m, ToeplitzPlusHankelRep):
-        return _tph_steps(m.toeplitz.param, m.hankel.param, x, phi)
-    if isinstance(m, SparseRep):
-        return _sparse_steps(m, x, phi)
-    raise TypeError(f"no single-level direct path for {type(m).__name__}")
+    of B vectors; ``phi`` of shape (B,) scales the parameters per column,
+    so column t of the result is phi[t] times the product with x[:, t].
+    Returns (product, count)."""
+    prepared = prepare_level(m)
+    if phi is None:
+        return prepared.apply(x)
+    coef = np.outer(prepared.coef, phi)
+    return Prepared(prepared.kind, prepared.n, prepared.stage, coef).apply(x)
 
 
 def direct_matvec(m: StructuredMatrix, v) -> tuple[np.ndarray, int]:
-    """Direct-path product and its genuine multiplication count."""
-    return direct_stage(m, v)
+    """Direct-path product and its genuine multiplication count, for a
+    vector or a block of vectors (see :class:`Prepared`)."""
+    return prepare_level(m).apply(v)

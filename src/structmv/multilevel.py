@@ -3,15 +3,16 @@
 Two routes again.  The program route tensor-composes the per-level
 programs, so its count is the product of the level counts.  The direct
 route applies the same Kronecker product one level at a time, as a mode
-product per level, with no Kronecker matrix formed: it encodes each block
-of the vector with the tail's vector encoder (the program of the levels
-after the first, in operator form), runs the head level's own direct stage
-from :mod:`structmv.kernels` over the encoded block with the tail's encoded
-parameters as the per-column factor, and decodes with the tail's decoder.
-Each pointwise product w[s, t] formed from an active head slot s and an
-active tail slot t is one genuine multiplication; structurally-zero slots
-are skipped and not counted.
-"""
+product per level, with no Kronecker matrix formed.  :func:`prepare` does
+its parameter side once per matrix: it takes the program of the levels
+after the first (the tail, in operator form, cached by shape) and
+multiplies the head level's slot coefficients by the tail's encoded
+parameters.  A product then encodes each block of the vector with the
+tail's vector encoder, runs the head level's own direct stage from
+:mod:`structmv.kernels` over the encoded block with those coefficients,
+and decodes with the tail's decoder.  Each pointwise product w[s, t]
+formed from an active head slot s and an active tail slot t is one genuine
+multiplication; structurally-zero slots are skipped and not counted."""
 
 from __future__ import annotations
 
@@ -87,32 +88,40 @@ def _tail_program(shape: _TailShape) -> BilinearProgram:
     return bilinear.drop_inactive(program)
 
 
-def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:
-    """Blocked evaluation; returns (product, measured count).
+def prepare(m: StructuredMatrix) -> kernels.Prepared:
+    """``m`` prepared for direct products: every parameter encoding done
+    once, and kept on the matrix object for as long as it lives.
 
-    The tail's vector encoder maps each of the head's blocks of v to the
-    tail's slots, the head's own direct stage runs on that block with the
-    tail's encoded parameters as its per-column factor, and the tail's
-    decoder maps the result back.  The measured count is the number of
-    pointwise products evaluated, (head count) x (tail count).
+    A multilevel matrix keeps the tail's cached program and its first
+    level's slot coefficients times the tail's encoded parameters, so that
+    a product is the tail's vector encoder, the first level's stage and the
+    tail's decoder.  The coefficients hold one complex number per genuine
+    multiplication of a product, ``param_dim(m)`` in all.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if len(v) != order(m):
-        raise ValueError(
-            f"vector length {len(v)} does not match order {order(m)}"
-        )
-    head = m.levels[0]
+    if not isinstance(m, MultilevelRep):
+        return kernels.prepare_level(m)
+    return kernels.memo(m, _prepare_multilevel)
+
+
+def _prepare_multilevel(m: MultilevelRep) -> kernels.Prepared:
+    head = kernels.prepare_level(m.levels[0])
     if len(m.levels) == 1:
-        return kernels.direct_matvec(head, v)
+        return head
     tail_rep = MultilevelRep(m.levels[1:])
     key = tuple((type(level), level.pattern if isinstance(level, SparseRep)
                  else level.n) for level in tail_rep.levels)
     tail = _tail_program(_TailShape(key, tail_rep.levels))
-    blocks = v.reshape(order(head), tail.n_in)
-    x = (tail.enc_vec @ blocks.T).T
-    phi = tail.enc_param @ param_vector(tail_rep)
-    z, count = kernels.direct_stage(head, x, phi)
-    return (tail.dec @ z.T).T.reshape(-1), count
+    coef = np.outer(head.coef, tail.enc_param @ param_vector(tail_rep))
+    coef.setflags(write=False)
+    return kernels.Prepared("multilevel", order(m), head.stage, coef, tail)
+
+
+def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:
+    """Blocked evaluation of the prepared matrix (see :func:`prepare`);
+    returns (product, measured count).  The count is the number of
+    pointwise products evaluated, (head count) x (tail count) per vector.
+    """
+    return prepare(m).apply(v)
 
 
 def intermediate_w_values(m: MultilevelRep, v) -> np.ndarray:

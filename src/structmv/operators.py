@@ -70,7 +70,9 @@ class Select(Operator):
     0/+-1 entries.  Entries are summed per position and kept sorted by
     row, so that rows with one entry each apply as a gather or a scatter,
     and other rows as one segmented sum.  ``is_gather`` is True when row k
-    has one entry for every k, so that applying the map is one gather."""
+    has one entry for every k, so that applying the map is one gather.
+    Entries that arrive in strictly increasing (row, col) order are kept
+    as they are; others are sorted once."""
 
     def __init__(self, shape, rows, cols, vals=None):
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
@@ -78,16 +80,24 @@ class Select(Operator):
         vals = (np.ones(len(rows)) if vals is None
                 else np.asarray(vals, dtype=float).reshape(-1))
         m, n = shape
-        key, inverse = np.unique(rows * max(n, 1) + cols, return_inverse=True)
-        vals = np.bincount(inverse.reshape(-1), weights=vals, minlength=len(key))
+        key = rows * max(n, 1) + cols
+        if np.any(key[1:] <= key[:-1]):
+            key, inverse = np.unique(key, return_inverse=True)
+            vals = np.bincount(inverse.reshape(-1), weights=vals,
+                               minlength=len(key))
+            rows, cols = key // max(n, 1), key % max(n, 1)
         keep = vals != 0
-        key, vals = key[keep], vals[keep]
         self.shape = (m, n)
-        self.rows, self.cols, self.vals = key // max(n, 1), key % max(n, 1), vals
-        self.is_gather = len(key) == m and np.array_equal(self.rows, np.arange(m))
-        self._unit = bool(np.all(vals == 1))
-        self._out_rows, self._starts = np.unique(self.rows, return_index=True)
-        self._one_per_row = len(self._out_rows) == len(key)
+        self.rows, self.cols, self.vals = rows[keep], cols[keep], vals[keep]
+        self.is_gather = (len(self.rows) == m
+                          and np.array_equal(self.rows, np.arange(m)))
+        self._unit = bool(np.all(self.vals == 1))
+        # the rows are sorted, so a row starts where it differs from the last
+        first = np.ones(len(self.rows), dtype=bool)
+        first[1:] = self.rows[1:] != self.rows[:-1]
+        self._starts = np.flatnonzero(first)
+        self._out_rows = self.rows[self._starts]
+        self._one_per_row = len(self._starts) == len(self.rows)
 
     @classmethod
     def take(cls, n: int, index) -> "Select":
@@ -97,7 +107,11 @@ class Select(Operator):
 
     @property
     def T(self) -> "Select":
-        return Select(self.shape[::-1], self.cols, self.rows, self.vals)
+        # a stable sort by column keeps each column's rows in order, so the
+        # transposed entries arrive sorted and are not sorted again
+        order = np.argsort(self.cols, kind="stable")
+        return Select(self.shape[::-1], self.cols[order], self.rows[order],
+                      self.vals[order])
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x)
@@ -144,7 +158,11 @@ class Dense(Operator):
         self.shape = matrix.shape
 
     def apply(self, x) -> np.ndarray:
-        return self.matrix @ x
+        x = np.asarray(x)
+        if x.ndim <= 2:
+            return self.matrix @ x
+        # matmul would treat a 3-D x as a stack of matrices
+        return np.tensordot(self.matrix, x, axes=1)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import structmv as sm
 from structmv import bilinear, kernels, multilevel, operators, oracle, transform
 from util import (
     SINGLE_LEVEL,
+    check_prepared_block,
     gaussian,
     random_instance,
     rel_err,
@@ -444,3 +448,58 @@ def test_direct_matvec_rejects_length_mismatch():
         kernels.direct_sparse_matvec(
             sm.SparseRep(sm.SparsityPattern(2, ()), []), [1, 2, 3]
         )
+
+
+# ---------------------------------------------------------------------------
+# prepared matrices
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("structure", SINGLE_LEVEL)
+def test_prepared_block_every_order(structure):
+    rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 60)
+    for n in range(1, 34):
+        check_prepared_block(random_instance(structure, n, rng),
+                             gaussian(rng, (n, 3)))
+
+
+@pytest.mark.parametrize("structure", SINGLE_LEVEL)
+def test_prepare_encodes_once_per_matrix(structure, monkeypatch):
+    encoded = []
+    real = kernels._encode
+
+    def counting(m):
+        encoded.append(m)
+        return real(m)
+
+    monkeypatch.setattr(kernels, "_encode", counting)
+    rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 70)
+    m = random_instance(structure, 5, rng)
+    prepared = sm.prepare(m)
+    assert sm.prepare(m) is prepared
+    for _ in range(2):
+        kernels.direct_matvec(m, gaussian(rng, 5))
+    assert encoded == [m]
+    assert not prepared.coef.flags.writeable
+    with pytest.raises(ValueError):
+        prepared.coef[0] = 0
+
+
+def test_prepared_memo_dies_with_its_matrix():
+    rng = np.random.default_rng(80)
+    for structure in SINGLE_LEVEL:
+        m = random_instance(structure, 4, rng)
+        kernels.direct_matvec(m, gaussian(rng, 4))
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
+
+
+def test_prepared_rejects_bad_shapes():
+    prepared = sm.prepare(sm.CirculantRep(3, [1, 2, 3]))
+    with pytest.raises(ValueError, match="circulant order 3"):
+        prepared.apply(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="block"):
+        prepared.apply(np.ones((3, 1, 1)))
+    with pytest.raises(ValueError, match="symmetric of order 3 needs 6"):
+        sm.prepare(sm.SymmetricRep(3, [1, 2, 3]))

@@ -1,11 +1,13 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import structmv as sm
 from structmv import bilinear, kernels, multilevel, oracle
-from util import SINGLE_LEVEL, gaussian, random_instance, rel_err
+from util import SINGLE_LEVEL, check_prepared_block, gaussian, random_instance, rel_err
 
 
 def _bccb(a, b, c, d):
@@ -288,11 +290,47 @@ def test_direct_tail_stays_matrix_free():
     tracemalloc.start()
     try:
         got, count = multilevel.multilevel_matvec_direct(m, v)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # the product prepared m, and its coefficients are still held
+    assert 16 * sm.param_dim(m) == multilevel.prepare(m).coef.nbytes <= held
     assert peak < 32 * 2**20
     want, wcount = bilinear.apply(multilevel.multilevel_program(m),
                                   multilevel.param_vector(m), v)
     assert rel_err(got, want) < 1e-12
     assert count == wcount == sm.param_dim(m)
+
+
+@pytest.mark.parametrize("head", SINGLE_LEVEL)
+def test_prepared_block_every_head(head):
+    rng = np.random.default_rng(SINGLE_LEVEL.index(head) + 40)
+    for tail in SINGLE_LEVEL:
+        for levels in ([(head, 2), (tail, 3)], [(head, 3), (tail, 2), ("toeplitz", 2)]):
+            m = sm.MultilevelRep(tuple(random_instance(s, n, rng) for s, n in levels))
+            check_prepared_block(m, gaussian(rng, (sm.order(m), 3)))
+
+
+def test_prepare_encodes_a_multilevel_matrix_once(monkeypatch):
+    calls = []
+    real = multilevel._prepare_multilevel
+
+    def counting(m):
+        calls.append(len(m.levels))  # not m itself, which must be freed
+        return real(m)
+
+    monkeypatch.setattr(multilevel, "_prepare_multilevel", counting)
+    rng = np.random.default_rng(41)
+    m = sm.MultilevelRep((random_instance("toeplitz", 3, rng),
+                          random_instance("sparse", 2, rng),
+                          random_instance("hankel", 2, rng)))
+    assert sm.prepare(m) is sm.prepare(m)
+    for _ in range(2):
+        multilevel.multilevel_matvec_direct(m, gaussian(rng, 12))
+    assert calls == [3]
+    coef = sm.prepare(m).coef
+    assert coef.shape[0] == 5 and not coef.flags.writeable
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None

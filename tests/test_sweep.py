@@ -1,5 +1,6 @@
 """Seeded randomized cross-checks of the program route against the direct
-route, the dense oracle, the closed-form count and a dense prune check."""
+route, the dense oracle, the closed-form count and a dense prune check,
+on single vectors and on blocks of vectors."""
 
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 
 import structmv as sm
 from structmv import bilinear, cli, kernels, multilevel, oracle
-from util import SINGLE_LEVEL, gaussian, random_instance, rel_err
+from util import SINGLE_LEVEL, check_prepared_block, gaussian, random_instance, rel_err
 
 
 def _dense_prune(program):
@@ -32,6 +33,10 @@ def _cross_check(m, rng):
         assert report.measured == int(numeric.sum())
         assert report.match == bool(np.array_equal(numeric, program.active))
     assert report.match and report.measured == count
+    # a block of three from its own generator, so the sweep's draws stay as
+    # they are
+    n = sm.order(m)
+    check_prepared_block(m, gaussian(np.random.default_rng(n), (n, 3)))
 
 
 @pytest.mark.parametrize("structure", SINGLE_LEVEL)
