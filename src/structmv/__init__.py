@@ -4,22 +4,16 @@ counts.
 Circulant, Toeplitz, Hankel, symmetric, Toeplitz-plus-Hankel, sparse, and
 arbitrarily nested multilevel (Kronecker) structures, each with a bilinear
 program whose genuine-multiplication count is minimal and measured at
-runtime, plus a literal direct path and a dense brute-force oracle for
-cross-checking.  ``prepare(m)`` encodes a matrix's parameters once, so that
-each direct product is vector encode, pointwise multiply and decode.
+runtime, plus a direct path that runs the same program with the
+parameters encoded once per matrix (``prepare(m)``), and a dense
+brute-force oracle for cross-checking.
 """
 
 from .bilinear import BilinearProgram, CountReport, apply, conjugate_by, kron, prune_check
 from .kernels import (
     Prepared,
     circulant_program,
-    direct_circulant_matvec,
-    direct_hankel_matvec,
     direct_matvec,
-    direct_sparse_matvec,
-    direct_symmetric_matvec,
-    direct_toeplitz_matvec,
-    direct_tph_matvec,
     hankel_program,
     sparse_program,
     symmetric_program,
@@ -50,7 +44,7 @@ from .structures import (
     param_dim,
     validate,
 )
-from .transform import dft, exchange_apply, fourier_matrix, idft
+from .transform import dft, fourier_matrix, idft
 
 __version__ = "0.1.0"
 
@@ -73,14 +67,7 @@ __all__ = [
     "conjugate_by",
     "dense",
     "dft",
-    "direct_circulant_matvec",
-    "direct_hankel_matvec",
     "direct_matvec",
-    "direct_sparse_matvec",
-    "direct_symmetric_matvec",
-    "direct_toeplitz_matvec",
-    "direct_tph_matvec",
-    "exchange_apply",
     "fourier_matrix",
     "hankel_program",
     "idft",

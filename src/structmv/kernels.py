@@ -1,15 +1,13 @@
 """Structure-specific kernels.
 
-Each structure gets two evaluation routes that must agree:
-
-* a builder producing a :class:`~structmv.bilinear.BilinearProgram` whose
-  active-slot count is provably minimal for that structure, and
-* a literal step-by-step matvec (the "direct path") that performs the same
-  stages inline.  :func:`prepare_level` encodes a matrix's parameters once
-  into its stage's slot coefficients and keeps them on the matrix, so a
-  direct product is vector encode, pointwise multiply and decode, on a
-  vector or on a block of vectors along a trailing axis.  The multilevel
-  direct route runs the head level's stage over its encoded tail this way.
+Each structure gets a builder producing a
+:class:`~structmv.bilinear.BilinearProgram` whose active-slot count is
+provably minimal for that structure.  The direct path runs that same
+program: :func:`prepare_level` encodes a matrix's parameters once into the
+coefficients of the program's active slots and keeps them on the matrix,
+so a direct product is the program's vector encoder, one pointwise
+multiply per active slot and its decoder, on a vector or on a block of
+vectors along a trailing axis.
 
 The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
 into a circulant of twice the order with the free first-row entry chosen as
@@ -20,18 +18,15 @@ one per diagonal entry, (a_ii - sum_{j != i} a_ij) v_i, with index maps
 only.  Toeplitz-plus-Hankel shifts a multiple of the all-ones matrix between
 its two components so that the Toeplitz part's frequency-1 slot vanishes as
 well, saving a second multiplication.  Sparse is the usual support-driven
-matvec, as one gather, one multiply and one segmented sum.  The direct
-stages apply the maps of :func:`circulant_program` (of twice the order for
-Toeplitz, Hankel and Toeplitz-plus-Hankel), :func:`symmetric_program` and
-:func:`sparse_program`, so the choice between a small dense matrix and an
-index map or ``np.fft`` is the operators' one rule.
+matvec, as one gather, one multiply and one segmented sum.  Whether a map
+applies as a small dense matrix, an index map or ``np.fft`` is the
+operators' one rule, the same on both routes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -242,9 +237,11 @@ def tph_program(n: int) -> BilinearProgram:
     )
 
 
+@lru_cache(maxsize=64)
 def sparse_program(pattern: SparsityPattern) -> BilinearProgram:
     """One multiplication per support entry: select value, select v[j],
-    accumulate into output i."""
+    accumulate into output i.  Cached per pattern, which compares and
+    hashes by value."""
     r = len(pattern.rows)
     return BilinearProgram(
         enc_param=Select.take(r, np.arange(r)),
@@ -291,222 +288,18 @@ def tph_gauge_embed(n: int) -> Select:
 
 
 # ---------------------------------------------------------------------------
-# direct paths
-# ---------------------------------------------------------------------------
-#
-# A stage encodes x, multiplies it pointwise by the slot coefficients that
-# :func:`prepare_level` encoded once per matrix, and decodes.  It acts on
-# the first axis of x, of shape (n,) or (n, ...), so a block of vectors
-# costs one pass.  The coefficients have shape (slots,) or (slots, B), their
-# second axis matching the second of x: the multilevel route passes the
-# head's coefficients times the tail's encoded parameters.  Counts are the
-# products formed: active slots times the columns of x.
-
-def _form_products(coef, x_hat) -> int:
-    """Multiply the last len(coef) slots of ``x_hat`` in place by
-    ``coef``.  The slots before them are structurally zero: they are set
-    to zero, and neither formed nor counted.  Returns the products formed."""
-    first = len(x_hat) - len(coef)
-    x_hat[:first] = 0
-    active = x_hat[first:]
-    active *= coef.reshape(coef.shape + (1,) * (x_hat.ndim - coef.ndim))
-    return active.size
-
-
-def _program_stage(program, coef, x):
-    """The stage on the vector encoder and decoder of ``program``:
-    circulant, symmetric and sparse use their own program's maps."""
-    x_hat = program.enc_vec @ x
-    count = _form_products(coef, x_hat)
-    return program.dec @ x_hat, count
-
-
-def _toeplitz_stage(program, coef, x):
-    """The order-2n circulant stage of ``program`` on the zero-padded
-    vector; the first n outputs are the product."""
-    z, count = _program_stage(program, coef,
-                              np.concatenate([x, np.zeros_like(x)]))
-    return z[:len(x)], count
-
-
-def _hankel_stage(program, coef, x):
-    """Toeplitz on the reversed parameters (encoded in ``coef``), output
-    reversed."""
-    z, count = _toeplitz_stage(program, coef, x)
-    return z[::-1], count
-
-
-def _tph_stage(program, coef, x):
-    """The Hankel branch on ``coef[:2n-1]`` and the Toeplitz branch on
-    ``coef[2n-1:]``, which skips frequency 1 as well; both branches share
-    one transform of the zero-padded vector."""
-    n = len(x)
-    x_hat = program.enc_vec @ np.concatenate([x, np.zeros_like(x)])
-    hankel = x_hat.copy()
-    count = (_form_products(coef[:2 * n - 1], hankel)
-             + _form_products(coef[2 * n - 1:], x_hat))
-    return (program.dec @ hankel)[:n][::-1] + (program.dec @ x_hat)[:n], count
-
-
-@dataclass(frozen=True, eq=False)
-class Prepared:
-    """A matrix ready for direct products, with everything that depends
-    only on the matrix computed once.
-
-    ``stage(coef, x)`` is the direct stage of the matrix, or of its first
-    level, and ``coef`` its read-only slot coefficients.  For a multilevel
-    matrix, ``tail`` is the program of the levels after the first: its
-    vector encoder maps each first-level block of the vector to the tail's
-    slots before the stage and its decoder maps them back after it, and
-    ``coef`` is the first level's coefficients times the tail's encoded
-    parameters, one column per tail slot.  ``kind`` names the structure in
-    error messages.
-    """
-
-    kind: str
-    n: int
-    stage: Callable
-    coef: np.ndarray
-    tail: BilinearProgram | None = None
-
-    def apply(self, v) -> tuple[np.ndarray, int]:
-        """Product with ``v`` of shape (n,), or with each column of ``v`` of
-        shape (n, k).  Returns (product, count); the count is the genuine
-        multiplications formed, k times the parameter dimension."""
-        v = np.asarray(v, dtype=complex)
-        if v.ndim not in (1, 2):
-            raise ValueError(
-                f"expected a vector or a block of vectors, got shape {v.shape}"
-            )
-        if len(v) != self.n:
-            raise ValueError(
-                f"{self.kind} order {self.n} does not match vector length "
-                f"{len(v)}"
-            )
-        if self.tail is None:
-            return self.stage(self.coef, v)
-        enc_vec, dec = self.tail.enc_vec, self.tail.dec
-        blocks = v.reshape((self.n // enc_vec.shape[1], enc_vec.shape[1])
-                           + v.shape[1:])
-        x = np.swapaxes(enc_vec @ np.swapaxes(blocks, 0, 1), 0, 1)
-        z, count = self.stage(self.coef, x)
-        out = np.swapaxes(dec @ np.swapaxes(z, 0, 1), 0, 1)
-        return out.reshape(v.shape), count
-
-
-def memo(m: StructuredMatrix, build) -> Prepared:
-    """``build(m)``, computed once per matrix object and kept on the object
-    itself.  A representation is immutable and compared by identity, so
-    the memo is a pure function of the object and lives as long as it."""
-    prepared = vars(m).get("_prepared")
-    if prepared is None:
-        prepared = build(m)
-        object.__setattr__(m, "_prepared", prepared)
-    return prepared
-
-
-def prepare_level(m: StructuredMatrix) -> Prepared:
-    """The single-level matrix ``m`` prepared for direct products, once
-    per matrix object."""
-    return memo(m, _encode)
-
-
-def _check_length(kind, n, param, need):
-    if len(param) != need:
-        raise ValueError(
-            f"{kind} of order {n} needs {need} parameters, got {len(param)}"
-        )
-
-
-def _toeplitz_coefficients(param, n, b=None, first=1):
-    """Slot coefficients of the order-2n embedding circulant from slot
-    ``first`` up.  Frequency 0 is structurally zero only for the default
-    ``b``; Toeplitz-plus-Hankel skips frequency 1 as well with first=2."""
-    c = toeplitz_embedding(n).embed(param, b=b)
-    return (circulant_program(2 * n).enc_param @ c)[first:]
-
-
-def _encode(m: StructuredMatrix) -> Prepared:
-    """Encode the parameters of ``m`` into its stage's slot coefficients."""
-    if isinstance(m, CirculantRep):
-        _check_length("circulant", m.n, m.param, m.n)
-        program = circulant_program(m.n)
-        kind, stage = "circulant", partial(_program_stage, program)
-        coef = program.enc_param @ m.param
-    elif isinstance(m, ToeplitzRep):
-        kind = "toeplitz"
-        stage = partial(_toeplitz_stage, circulant_program(2 * m.n))
-        coef = _toeplitz_coefficients(m.param, m.n)
-    elif isinstance(m, HankelRep):
-        kind = "hankel"
-        stage = partial(_hankel_stage, circulant_program(2 * m.n))
-        coef = _toeplitz_coefficients(m.param[::-1], m.n)
-    elif isinstance(m, SymmetricRep):
-        _check_length("symmetric", m.n, m.param, m.n * (m.n + 1) // 2)
-        program = symmetric_program(m.n)
-        kind, stage = "symmetric", partial(_program_stage, program)
-        coef = program.enc_param @ m.param
-    elif isinstance(m, ToeplitzPlusHankelRep):
-        n, t, h = m.n, m.toeplitz.param, m.hankel.param
-        _check_length("toeplitz", n, t, 2 * n - 1)
-        shift = tph_alpha(n) @ t
-        kind = "toeplitz_plus_hankel"
-        stage = partial(_tph_stage, circulant_program(2 * n))
-        coef = np.concatenate([
-            _toeplitz_coefficients((h + shift)[::-1], n),
-            _toeplitz_coefficients(t - shift, n, first=2),
-        ])
-    elif isinstance(m, SparseRep):
-        _check_length("sparse", m.n, m.values, len(m.pattern.rows))
-        kind, stage = "sparse", partial(_program_stage, sparse_program(m.pattern))
-        coef = m.values
-    else:
-        raise TypeError(f"no single-level direct path for {type(m).__name__}")
-    coef.setflags(write=False)
-    return Prepared(kind, m.n, stage, coef)
-
-
-def direct_circulant_matvec(rep: CirculantRep, v) -> np.ndarray:
-    """Transform, multiply pointwise, transform back."""
-    return prepare_level(rep).apply(v)[0]
-
-
-def direct_toeplitz_matvec(rep: ToeplitzRep, v, b=None) -> np.ndarray:
-    """Circulant embedding of twice the order applied to the zero-padded
-    vector; the first n outputs are the product for any choice of ``b``,
-    which is the embedding's free entry.  A ``b`` other than the default
-    is encoded for this call only."""
-    if b is None:
-        return prepare_level(rep).apply(v)[0]
-    stage = partial(_toeplitz_stage, circulant_program(2 * rep.n))
-    coef = _toeplitz_coefficients(rep.param, rep.n, b=b, first=0)
-    return Prepared("toeplitz", rep.n, stage, coef).apply(v)[0]
-
-
-def direct_hankel_matvec(rep: HankelRep, v) -> np.ndarray:
-    """Toeplitz on reversed parameters, output reversed."""
-    return prepare_level(rep).apply(v)[0]
-
-
-def direct_symmetric_matvec(rep: SymmetricRep, v) -> np.ndarray:
-    """One product per pair and per diagonal entry, summed back."""
-    return prepare_level(rep).apply(v)[0]
-
-
-def direct_tph_matvec(rep: ToeplitzPlusHankelRep, v) -> np.ndarray:
-    """Shift the all-ones gauge, then Hankel plus Toeplitz products."""
-    return prepare_level(rep).apply(v)[0]
-
-
-def direct_sparse_matvec(rep: SparseRep, v) -> np.ndarray:
-    """Usual support-driven matrix-vector product: one gather, one
-    multiply by the values and one segmented sum."""
-    return prepare_level(rep).apply(v)[0]
-
-
-# ---------------------------------------------------------------------------
 # single-level dispatch
 # ---------------------------------------------------------------------------
+
+_KINDS = {
+    CirculantRep: "circulant",
+    ToeplitzRep: "toeplitz",
+    HankelRep: "hankel",
+    SymmetricRep: "symmetric",
+    ToeplitzPlusHankelRep: "toeplitz_plus_hankel",
+    SparseRep: "sparse",
+}
+
 
 def single_level_program(m: StructuredMatrix) -> BilinearProgram:
     """Program for one non-multilevel structure, on its raw parameters."""
@@ -526,24 +319,110 @@ def single_level_program(m: StructuredMatrix) -> BilinearProgram:
 
 
 def single_level_params(m: StructuredMatrix) -> np.ndarray:
-    """Raw parameter vector matching :func:`single_level_program`."""
+    """Raw parameter vector matching :func:`single_level_program`; one of
+    another length than the program takes is a ValueError."""
+    need = single_level_program(m).d_param
     if isinstance(m, ToeplitzPlusHankelRep):
-        return np.concatenate([m.toeplitz.param, m.hankel.param])
-    if isinstance(m, SparseRep):
-        return np.asarray(m.values, dtype=complex)
-    return np.asarray(m.param, dtype=complex)
+        param = np.concatenate([m.toeplitz.param, m.hankel.param])
+    elif isinstance(m, SparseRep):
+        param = np.asarray(m.values, dtype=complex)
+    else:
+        param = np.asarray(m.param, dtype=complex)
+    _check_length(_KINDS[type(m)], m.n, param, need)
+    return param
 
 
-def direct_stage(m: StructuredMatrix, x, phi=None) -> tuple[np.ndarray, int]:
-    """The structure's direct stage on ``x``, a vector or an (n, B) block
-    of B vectors; ``phi`` of shape (B,) scales the parameters per column,
-    so column t of the result is phi[t] times the product with x[:, t].
-    Returns (product, count)."""
-    prepared = prepare_level(m)
-    if phi is None:
-        return prepared.apply(x)
-    coef = np.outer(prepared.coef, phi)
-    return Prepared(prepared.kind, prepared.n, prepared.stage, coef).apply(x)
+# ---------------------------------------------------------------------------
+# direct path
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """A matrix ready for direct products: its bilinear ``program`` and
+    ``coef``, the read-only coefficients of the program's active slots,
+    encoded once from the matrix's parameters.  ``kind`` names the
+    structure in error messages.
+
+    A product runs the program's vector encoder, sets the inactive slots
+    to zero, multiplies each contiguous run of active slots in place by
+    its coefficients, and runs the decoder.
+    """
+
+    kind: str
+    program: BilinearProgram
+    coef: np.ndarray
+    runs: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.coef.setflags(write=False)
+        active = np.concatenate([[False], self.program.active, [False]])
+        edges = np.flatnonzero(active[1:] != active[:-1]).tolist()
+        object.__setattr__(self, "runs", tuple(zip(edges[::2], edges[1::2])))
+
+    def apply(self, v) -> tuple[np.ndarray, int]:
+        """Product with ``v`` of shape (n,), or with each column of ``v`` of
+        shape (n, k).  Returns (product, count); the count is the genuine
+        multiplications formed, k times the parameter dimension."""
+        v = np.asarray(v, dtype=complex)
+        if v.ndim not in (1, 2):
+            raise ValueError(
+                f"expected a vector or a block of vectors, got shape {v.shape}"
+            )
+        n = self.program.n_in
+        if len(v) != n:
+            raise ValueError(
+                f"{self.kind} order {n} does not match vector length {len(v)}"
+            )
+        x = self.program.enc_vec @ v
+        k = v.shape[1] if v.ndim == 2 else 1
+        coef = self.coef if v.ndim == 1 else self.coef[:, None]
+        done = end = 0
+        for start, stop in self.runs:
+            x[end:start] = 0
+            x[start:stop] *= coef[done:done + stop - start]
+            done, end = done + stop - start, stop
+        x[end:] = 0
+        return self.program.dec @ x, len(self.coef) * k
+
+
+def memo(m: StructuredMatrix, build) -> Prepared:
+    """``build(m)``, computed once per matrix object and kept on the object
+    itself.  A representation is immutable and compared by identity, so
+    the memo is a pure function of the object and lives as long as it."""
+    prepared = vars(m).get("_prepared")
+    if prepared is None:
+        prepared = build(m)
+        object.__setattr__(m, "_prepared", prepared)
+    return prepared
+
+
+def prepare_level(m: StructuredMatrix) -> Prepared:
+    """The single-level matrix ``m`` prepared for direct products, once
+    per matrix object."""
+    return memo(m, _prepare_single)
+
+
+def _check_length(kind, n, param, need):
+    if len(param) != need:
+        raise ValueError(
+            f"{kind} of order {n} needs {need} parameters, got {len(param)}"
+        )
+
+
+def _prepare_single(m: StructuredMatrix) -> Prepared:
+    """Encode the parameters of ``m`` into the coefficients of the active
+    slots of :func:`single_level_program`."""
+    program, param = single_level_program(m), single_level_params(m)
+    enc_param = program.enc_param
+    if isinstance(m, HankelRep):
+        # hankel_program's fused encoder sums the embedding's free entry in
+        # another order; the Toeplitz encoder on the reversed parameters,
+        # contiguous as a ToeplitzRep holds them, makes a Hankel product the
+        # reversed Toeplitz product bit for bit
+        enc_param = toeplitz_program(m.n).enc_param
+        param = np.ascontiguousarray(param[::-1])
+    return Prepared(_KINDS[type(m)], program,
+                    (enc_param @ param)[program.active])
 
 
 def direct_matvec(m: StructuredMatrix, v) -> tuple[np.ndarray, int]:

@@ -1,35 +1,24 @@
 """Multilevel (nested Kronecker) structured products.
 
-Two routes again.  The program route tensor-composes the per-level
-programs, so its count is the product of the level counts.  The direct
-route applies the same Kronecker product one level at a time, as a mode
-product per level, with no Kronecker matrix formed.  :func:`prepare` does
-its parameter side once per matrix: it takes the program of the levels
-after the first (the tail, in operator form, cached by shape) and
-multiplies the head level's slot coefficients by the tail's encoded
-parameters.  A product then encodes each block of the vector with the
-tail's vector encoder, runs the head level's own direct stage from
-:mod:`structmv.kernels` over the encoded block with those coefficients,
-and decodes with the tail's decoder.  Each pointwise product w[s, t]
-formed from an active head slot s and an active tail slot t is one genuine
-multiplication; structurally-zero slots are skipped and not counted."""
+The program route tensor-composes the per-level programs, so its count is
+the product of the level counts.  The direct route runs the same
+composition with each level's inactive slots dropped first: its encoders
+and decoder are :class:`~structmv.operators.Kron` operators, applied as one
+mode product per level with no Kronecker matrix formed, and every slot is
+a genuine multiplication.  :func:`prepare` encodes the parameters once per
+matrix, so a product is the Kronecker vector encoder, one pointwise
+multiply and the Kronecker decoder (see :class:`structmv.kernels.Prepared`).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import bilinear, kernels
 from .bilinear import BilinearProgram
-from .structures import (
-    MultilevelRep,
-    SparseRep,
-    StructuredMatrix,
-    ToeplitzPlusHankelRep,
-    order,
-)
+from .structures import MultilevelRep, StructuredMatrix, ToeplitzPlusHankelRep
 
 
 def level_program(level: StructuredMatrix) -> BilinearProgram:
@@ -40,14 +29,16 @@ def level_program(level: StructuredMatrix) -> BilinearProgram:
     level parameter dimensions multiply correctly.
     """
     if isinstance(level, ToeplitzPlusHankelRep):
-        n = level.n
-        return bilinear.conjugate_by(
-            kernels.tph_program(n),
-            pre_param=kernels.tph_gauge_embed(n),
-            pre_vec=None,
-            post=None,
-        )
+        return _gauged_tph_program(level.n)
     return kernels.single_level_program(level)
+
+
+@lru_cache(maxsize=64)
+def _gauged_tph_program(n: int) -> BilinearProgram:
+    """:func:`kernels.tph_program` on the gauge-fixed coordinates."""
+    return bilinear.conjugate_by(kernels.tph_program(n),
+                                 pre_param=kernels.tph_gauge_embed(n),
+                                 pre_vec=None, post=None)
 
 
 def level_params(level: StructuredMatrix) -> np.ndarray:
@@ -58,11 +49,15 @@ def level_params(level: StructuredMatrix) -> np.ndarray:
     return kernels.single_level_params(level)
 
 
+def _kron_vectors(vectors) -> np.ndarray:
+    """Kronecker product of 1-D vectors as a flattened outer product,
+    without ``np.kron``'s per-call set-up."""
+    return reduce(lambda a, b: np.outer(a, b).reshape(-1), vectors)
+
+
 def param_vector(m: MultilevelRep) -> np.ndarray:
-    """Flattened outer product of the per-level parameter vectors (their
-    Kronecker product, without ``np.kron``'s per-call set-up)."""
-    return reduce(lambda a, b: np.outer(a, b).reshape(-1),
-                  [level_params(level) for level in m.levels])
+    """Kronecker product of the per-level parameter vectors."""
+    return _kron_vectors([level_params(level) for level in m.levels])
 
 
 def multilevel_program(m: MultilevelRep) -> BilinearProgram:
@@ -70,21 +65,10 @@ def multilevel_program(m: MultilevelRep) -> BilinearProgram:
     return reduce(bilinear.kron, [level_program(level) for level in m.levels])
 
 
-@dataclass(frozen=True)
-class _TailShape:
-    """Levels after the head, hashed and compared by ``key``: what their
-    program depends on, each level's structure and order and a sparse
-    level's support, but no parameter value."""
-
-    key: tuple
-    levels: tuple = field(compare=False)
-
-
-@lru_cache(maxsize=32)
-def _tail_program(shape: _TailShape) -> BilinearProgram:
-    """The tail's program in operator form with its inactive slots
-    dropped, so that every slot the head stage multiplies is counted."""
-    program = multilevel_program(MultilevelRep(shape.levels))
+@lru_cache(maxsize=64)
+def _active_program(program: BilinearProgram) -> BilinearProgram:
+    """``program`` with its inactive slots dropped, once per level program
+    (the builders cache theirs), so that every slot is counted."""
     return bilinear.drop_inactive(program)
 
 
@@ -92,34 +76,29 @@ def prepare(m: StructuredMatrix) -> kernels.Prepared:
     """``m`` prepared for direct products: every parameter encoding done
     once, and kept on the matrix object for as long as it lives.
 
-    A multilevel matrix keeps the tail's cached program and its first
-    level's slot coefficients times the tail's encoded parameters, so that
-    a product is the tail's vector encoder, the first level's stage and the
-    tail's decoder.  The coefficients hold one complex number per genuine
-    multiplication of a product, ``param_dim(m)`` in all.
+    A multilevel matrix keeps the Kronecker product of its levels' programs
+    with their inactive slots dropped, and that program's encoded
+    parameters: one complex number per genuine multiplication of a
+    product, ``param_dim(m)`` in all.
     """
     if not isinstance(m, MultilevelRep):
         return kernels.prepare_level(m)
-    return kernels.memo(m, _prepare_multilevel)
+    return kernels.memo(m, _prepare_kron)
 
 
-def _prepare_multilevel(m: MultilevelRep) -> kernels.Prepared:
-    head = kernels.prepare_level(m.levels[0])
-    if len(m.levels) == 1:
-        return head
-    tail_rep = MultilevelRep(m.levels[1:])
-    key = tuple((type(level), level.pattern if isinstance(level, SparseRep)
-                 else level.n) for level in tail_rep.levels)
-    tail = _tail_program(_TailShape(key, tail_rep.levels))
-    coef = np.outer(head.coef, tail.enc_param @ param_vector(tail_rep))
-    coef.setflags(write=False)
-    return kernels.Prepared("multilevel", order(m), head.stage, coef, tail)
+def _prepare_kron(m: MultilevelRep) -> kernels.Prepared:
+    programs = [_active_program(level_program(level)) for level in m.levels]
+    # the Kronecker encoder applied to param_vector(m) is the Kronecker
+    # product of the levels' encoded parameters, which costs far less
+    coef = _kron_vectors([program.enc_param @ level_params(level)
+                          for program, level in zip(programs, m.levels)])
+    return kernels.Prepared("multilevel", reduce(bilinear.kron, programs), coef)
 
 
 def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:
-    """Blocked evaluation of the prepared matrix (see :func:`prepare`);
-    returns (product, measured count).  The count is the number of
-    pointwise products evaluated, (head count) x (tail count) per vector.
+    """Product of the prepared matrix (see :func:`prepare`); returns
+    (product, measured count).  The count is the number of pointwise
+    products evaluated, the product of the level counts per vector.
     """
     return prepare(m).apply(v)
 

@@ -57,7 +57,9 @@ class Fourier(Operator):
             out = np.fft.fft(x, axis=0)
         else:
             out = np.fft.ifft(x, axis=0, norm="forward")
-        return out if self.scale == 1.0 else out * self.scale
+        if self.scale != 1.0:
+            out *= self.scale
+        return out
 
     def to_dense(self) -> np.ndarray:
         w = fourier_matrix(self.n)

@@ -33,14 +33,6 @@ def fourier_matrix(n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=16)
-def exchange_matrix(n: int) -> np.ndarray:
-    """Anti-diagonal permutation matrix J reversing coordinate order."""
-    j = np.eye(n)[::-1].copy()
-    j.setflags(write=False)
-    return j
-
-
 def dft(x) -> np.ndarray:
     """Unnormalized forward transform W @ x, along the first axis."""
     x = np.asarray(x, dtype=complex)
@@ -53,7 +45,3 @@ def idft(x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     return np.fft.fft(x, axis=0) / len(x)
 
-
-def exchange_apply(x) -> np.ndarray:
-    """Reverse coordinate order (left-multiplication by J)."""
-    return np.asarray(x, dtype=complex)[::-1].copy()

@@ -83,14 +83,12 @@ def test_conjugate_by_identity_is_noop():
 def test_conjugate_by_realizes_hankel_from_toeplitz():
     # reverse parameters in, reverse coordinates out
     rng = np.random.default_rng(8)
-    from structmv.transform import exchange_matrix
-
     for n in range(1, 9):
         p = bilinear.conjugate_by(
             kernels.toeplitz_program(n),
-            pre_param=exchange_matrix(2 * n - 1),
+            pre_param=np.eye(2 * n - 1)[::-1],
             pre_vec=np.eye(n),
-            post=exchange_matrix(n),
+            post=np.eye(n)[::-1],
         )
         h = gaussian(rng, 2 * n - 1)
         v = gaussian(rng, n)
@@ -103,6 +101,31 @@ def test_conjugate_by_realizes_hankel_from_toeplitz():
 def test_conjugate_by_shape_mismatch():
     with pytest.raises(ValueError):
         bilinear.conjugate_by(IDENTITY, np.eye(2), np.eye(1), np.eye(1))
+
+
+def test_add_transforms_a_shared_vector_once(monkeypatch):
+    # the two Toeplitz-plus-Hankel branches share their vector encoder, so
+    # both routes take one forward transform of the padded vector
+    n = 64
+    rng = np.random.default_rng(9)
+    m = sm.ToeplitzPlusHankelRep(sm.ToeplitzRep(n, gaussian(rng, 2 * n - 1)),
+                                 sm.HankelRep(n, gaussian(rng, 2 * n - 1)))
+    v = gaussian(rng, n)
+    sm.prepare(m)  # encodes the parameters, which takes no forward transform
+    calls, real = [], np.fft.fft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    program = kernels.tph_program(n)
+    got, count = bilinear.apply(program, kernels.single_level_params(m), v)
+    direct, dcount = kernels.direct_matvec(m, v)
+    assert len(calls) == 2
+    assert rel_err(got, oracle.dense(m) @ v) < 1e-9
+    assert rel_err(direct, got) < 1e-12
+    assert count == dcount == 4 * n - 3
 
 
 def test_prune_check_reports():

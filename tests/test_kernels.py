@@ -14,6 +14,7 @@ from util import (
     rel_err,
     symmetric_shell_maps,
     symmetric_shells,
+    toeplitz_with_free_entry,
 )
 
 
@@ -90,8 +91,8 @@ def test_toeplitz_output_independent_of_b():
     for n in range(1, 17):
         rep = sm.ToeplitzRep(n, gaussian(rng, 2 * n - 1))
         v = gaussian(rng, n)
-        default = kernels.direct_toeplitz_matvec(rep, v)
-        zero_b = kernels.direct_toeplitz_matvec(rep, v, b=0.0)
+        default, _ = kernels.direct_matvec(rep, v)
+        zero_b = toeplitz_with_free_entry(rep, v, 0.0)
         assert rel_err(zero_b, default) < 1e-9
 
 
@@ -117,8 +118,8 @@ def test_hankel_is_reversed_toeplitz_on_reversed_params():
     for n in (1, 3, 6):
         h = gaussian(rng, 2 * n - 1)
         v = gaussian(rng, n)
-        hankel = kernels.direct_hankel_matvec(sm.HankelRep(n, h), v)
-        toeplitz = kernels.direct_toeplitz_matvec(sm.ToeplitzRep(n, h[::-1]), v)
+        hankel, _ = kernels.direct_matvec(sm.HankelRep(n, h), v)
+        toeplitz, _ = kernels.direct_matvec(sm.ToeplitzRep(n, h[::-1]), v)
         np.testing.assert_array_equal(hankel, toeplitz[::-1])
 
 
@@ -196,7 +197,7 @@ def test_symmetric_residual_borders_vanish():
 def test_direct_symmetric_identity():
     rep = sm.SymmetricRep(4, [1, 0, 0, 0, 1, 0, 0, 1, 0, 1])
     v = np.array([1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_allclose(kernels.direct_symmetric_matvec(rep, v), v,
+    np.testing.assert_allclose(kernels.direct_matvec(rep, v)[0], v,
                                atol=1e-12)
 
 
@@ -372,19 +373,13 @@ def test_sparse_pattern_index_arrays():
 
 @pytest.mark.parametrize("structure", SINGLE_LEVEL)
 def test_direct_stage_on_a_block(structure):
-    # column t of the block product is phi[t] times the matrix times x[:, t]
     rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 50)
     for n in (1, 2, 3, 8, 33):
         m = random_instance(structure, n, rng)
         x = gaussian(rng, (n, 4))
-        phi = gaussian(rng, 4)
-        d = oracle.dense(m)
-        got, count = kernels.direct_stage(m, x, phi)
+        got, count = kernels.direct_matvec(m, x)
         assert got.shape == (n, 4)
-        assert rel_err(got, (d @ x) * phi) < 1e-9
-        assert count == 4 * sm.param_dim(m)
-        got, count = kernels.direct_stage(m, x)
-        assert rel_err(got, d @ x) < 1e-9
+        assert rel_err(got, oracle.dense(m) @ x) < 1e-9
         assert count == 4 * sm.param_dim(m)
 
 
@@ -443,9 +438,9 @@ def test_symmetric_direct_sweep():
 
 def test_direct_matvec_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        kernels.direct_circulant_matvec(sm.CirculantRep(3, [1, 2, 3]), [1, 2])
+        kernels.direct_matvec(sm.CirculantRep(3, [1, 2, 3]), [1, 2])
     with pytest.raises(ValueError):
-        kernels.direct_sparse_matvec(
+        kernels.direct_matvec(
             sm.SparseRep(sm.SparsityPattern(2, ()), []), [1, 2, 3]
         )
 
@@ -465,13 +460,13 @@ def test_prepared_block_every_order(structure):
 @pytest.mark.parametrize("structure", SINGLE_LEVEL)
 def test_prepare_encodes_once_per_matrix(structure, monkeypatch):
     encoded = []
-    real = kernels._encode
+    real = kernels._prepare_single
 
     def counting(m):
         encoded.append(m)
         return real(m)
 
-    monkeypatch.setattr(kernels, "_encode", counting)
+    monkeypatch.setattr(kernels, "_prepare_single", counting)
     rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 70)
     m = random_instance(structure, 5, rng)
     prepared = sm.prepare(m)

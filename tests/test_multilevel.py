@@ -216,34 +216,13 @@ def test_symmetric_head_sweep():
             assert count == sm.param_dim(m)
 
 
-def test_direct_builds_each_tail_shape_once(monkeypatch):
-    builds = []
-    real = multilevel.multilevel_program
-
-    def counting(m):
-        builds.append(len(m.levels))
-        return real(m)
-
-    monkeypatch.setattr(multilevel, "multilevel_program", counting)
-    multilevel._tail_program.cache_clear()
-    rng = np.random.default_rng(13)
-    for _ in range(2):
-        m = sm.MultilevelRep((random_instance("toeplitz", 3, rng),
-                              random_instance("circulant", 2, rng),
-                              random_instance("hankel", 2, rng)))
-        v = gaussian(rng, sm.order(m))
-        got, _ = multilevel.multilevel_matvec_direct(m, v)
-        assert rel_err(got, oracle.dense(m) @ v) < 1e-9
-    assert builds == [2]
-
-
 def test_equal_sparse_tails_share_one_cache_entry():
     # two equal patterns that are distinct objects hash alike, once each
     support = ((0, 1), (2, 0), (2, 2))
     patterns = [sm.SparsityPattern(3, support), sm.SparsityPattern(3, list(support))]
     assert patterns[0] is not patterns[1]
     assert patterns[0] == patterns[1] and hash(patterns[0]) == hash(patterns[1])
-    multilevel._tail_program.cache_clear()
+    multilevel._active_program.cache_clear()
     rng = np.random.default_rng(15)
     for pattern in patterns:
         m = sm.MultilevelRep((random_instance("circulant", 2, rng),
@@ -252,8 +231,9 @@ def test_equal_sparse_tails_share_one_cache_entry():
         got, count = multilevel.multilevel_matvec_direct(m, v)
         assert rel_err(got, oracle.dense(m) @ v) < 1e-9
         assert count == sm.param_dim(m)
-    info = multilevel._tail_program.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # the second matrix finds both of its level programs, the sparse one too
+    info = multilevel._active_program.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
 
 @pytest.mark.parametrize("support", [(), ((1, 2), (0, 0), (1, 0), (1, 1))],
@@ -286,7 +266,7 @@ def test_direct_tail_stays_matrix_free():
                           random_instance("toeplitz", 32, rng),
                           random_instance("hankel", 32, rng)))
     v = gaussian(rng, sm.order(m))
-    multilevel._tail_program.cache_clear()
+    multilevel._active_program.cache_clear()
     tracemalloc.start()
     try:
         got, count = multilevel.multilevel_matvec_direct(m, v)
@@ -313,13 +293,13 @@ def test_prepared_block_every_head(head):
 
 def test_prepare_encodes_a_multilevel_matrix_once(monkeypatch):
     calls = []
-    real = multilevel._prepare_multilevel
+    real = multilevel._prepare_kron
 
     def counting(m):
         calls.append(len(m.levels))  # not m itself, which must be freed
         return real(m)
 
-    monkeypatch.setattr(multilevel, "_prepare_multilevel", counting)
+    monkeypatch.setattr(multilevel, "_prepare_kron", counting)
     rng = np.random.default_rng(41)
     m = sm.MultilevelRep((random_instance("toeplitz", 3, rng),
                           random_instance("sparse", 2, rng),
@@ -329,8 +309,20 @@ def test_prepare_encodes_a_multilevel_matrix_once(monkeypatch):
         multilevel.multilevel_matvec_direct(m, gaussian(rng, 12))
     assert calls == [3]
     coef = sm.prepare(m).coef
-    assert coef.shape[0] == 5 and not coef.flags.writeable
+    assert coef.shape == (sm.param_dim(m),) and not coef.flags.writeable
     ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+def test_direct_product_frees_its_levels():
+    # no cache keeps a level, or its prepared memo, past its matrix
+    rng = np.random.default_rng(42)
+    m = sm.MultilevelRep((random_instance("circulant", 4, rng),
+                          random_instance("toeplitz", 64, rng)))
+    multilevel.multilevel_matvec_direct(m, gaussian(rng, sm.order(m)))
+    ref = weakref.ref(m.levels[1])
     del m
     gc.collect()
     assert ref() is None

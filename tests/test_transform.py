@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from structmv.transform import (
-    dft,
-    exchange_apply,
-    exchange_matrix,
-    fourier_matrix,
-    idft,
-)
+from structmv.kernels import _exchange
+from structmv.transform import dft, fourier_matrix, idft
 from util import gaussian, rel_err
 
 
@@ -34,11 +29,13 @@ def test_idft_inverts_dft():
 
 
 def test_exchange():
-    np.testing.assert_array_equal(exchange_apply([1, 2, 3]), [3, 2, 1])
-    np.testing.assert_array_equal(exchange_apply([5, 7]), [7, 5])
+    # the exchange map that hankel_program uses is J = np.eye(n)[::-1]
+    np.testing.assert_array_equal(_exchange(3) @ np.array([1, 2, 3]), [3, 2, 1])
+    np.testing.assert_array_equal(_exchange(2) @ np.array([5, 7]), [7, 5])
     v = np.arange(6, dtype=complex)
-    np.testing.assert_array_equal(exchange_apply(exchange_apply(v)), v)
-    j = exchange_matrix(4)
+    np.testing.assert_array_equal(_exchange(6) @ (_exchange(6) @ v), v)
+    j = _exchange(4).to_dense()
+    np.testing.assert_array_equal(j, np.eye(4)[::-1])
     np.testing.assert_array_equal(j @ j, np.eye(4))
 
 

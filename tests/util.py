@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import structmv as sm
-from structmv import cli
+from structmv import cli, kernels
 from structmv.structures import symmetric_pack_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -56,6 +56,16 @@ def random_instance(structure, n, rng, density=0.5):
             sm.SparsityPattern(n, support), gaussian(rng, len(support))
         )
     raise ValueError(structure)
+
+
+def toeplitz_with_free_entry(rep, v, b):
+    """The first n outputs of the order-2n embedding circulant of ``rep``,
+    with ``b`` as its free entry, on the zero-padded vector: the Toeplitz
+    product for every ``b``."""
+    n = rep.n
+    c = kernels.toeplitz_embedding(n).embed(rep.param, b=b)
+    padded = np.concatenate([v, np.zeros(n)])
+    return kernels.direct_matvec(sm.CirculantRep(2 * n, c), padded)[0][:n]
 
 
 def check_prepared_block(m, block):
