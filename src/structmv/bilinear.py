@@ -204,19 +204,17 @@ def add(p1: BilinearProgram, p2: BilinearProgram) -> BilinearProgram:
     """Pointwise sum of two programs over the same spaces.
 
     Slots concatenate and the decoded outputs add; counts add as well.
-    Programs that share their vector encoder apply it once, and the
-    second program's slots repeat the first's by one gather.
+    Both programs must hold the same vector encoder object: it is applied
+    once, and the second program's slots repeat the first's by one gather.
     """
     if (p1.d_param, p1.n_in, p1.n_out) != (p2.d_param, p2.n_in, p2.n_out):
         raise ValueError("programs act on different spaces")
-    if p1.enc_vec is p2.enc_vec:
-        enc_vec = compose(Select.take(p1.r, np.tile(np.arange(p1.r), 2)),
-                          p1.enc_vec)
-    else:
-        enc_vec = VStack([p1.enc_vec, p2.enc_vec])
+    if p1.enc_vec is not p2.enc_vec:
+        raise ValueError("programs do not share their vector encoder")
     return BilinearProgram(
         enc_param=VStack([p1.enc_param, p2.enc_param]),
-        enc_vec=enc_vec,
+        enc_vec=compose(Select.take(p1.r, np.tile(np.arange(p1.r), 2)),
+                        p1.enc_vec),
         dec=HStack([p1.dec, p2.dec]),
         active=np.concatenate([p1.active, p2.active]),
     )

@@ -409,20 +409,32 @@ def _check_length(kind, n, param, need):
         )
 
 
+def _toeplitz_slots(n: int, param) -> np.ndarray:
+    """All slot values of :func:`toeplitz_program` on ``param``."""
+    return toeplitz_program(n).enc_param @ np.ascontiguousarray(param)
+
+
 def _prepare_single(m: StructuredMatrix) -> Prepared:
     """Encode the parameters of ``m`` into the coefficients of the active
-    slots of :func:`single_level_program`."""
+    slots of :func:`single_level_program`.
+
+    The Hankel branches, alone and in Toeplitz-plus-Hankel, take the
+    Toeplitz encoder on their reversed parameters.  That is the slot
+    values of hankel_program's fused encoder with the embedding's free
+    entry summed in the Toeplitz order, so a Hankel product is the reversed
+    Toeplitz product bit for bit, and each Toeplitz-plus-Hankel branch
+    encodes only its own 2n-1 shifted parameters."""
     program, param = single_level_program(m), single_level_params(m)
-    enc_param = program.enc_param
     if isinstance(m, HankelRep):
-        # hankel_program's fused encoder sums the embedding's free entry in
-        # another order; the Toeplitz encoder on the reversed parameters,
-        # contiguous as a ToeplitzRep holds them, makes a Hankel product the
-        # reversed Toeplitz product bit for bit
-        enc_param = toeplitz_program(m.n).enc_param
-        param = np.ascontiguousarray(param[::-1])
-    return Prepared(_KINDS[type(m)], program,
-                    (enc_param @ param)[program.active])
+        slots = _toeplitz_slots(m.n, param[::-1])
+    elif isinstance(m, ToeplitzPlusHankelRep):
+        t, h = param[:2 * m.n - 1], param[2 * m.n - 1:]
+        shift = tph_alpha(m.n) @ t
+        slots = np.concatenate([_toeplitz_slots(m.n, (h + shift)[::-1]),
+                                _toeplitz_slots(m.n, t - shift)])
+    else:
+        slots = program.enc_param @ param
+    return Prepared(_KINDS[type(m)], program, slots[program.active])
 
 
 def direct_matvec(m: StructuredMatrix, v) -> tuple[np.ndarray, int]:

@@ -111,7 +111,7 @@ def test_add_transforms_a_shared_vector_once(monkeypatch):
     m = sm.ToeplitzPlusHankelRep(sm.ToeplitzRep(n, gaussian(rng, 2 * n - 1)),
                                  sm.HankelRep(n, gaussian(rng, 2 * n - 1)))
     v = gaussian(rng, n)
-    sm.prepare(m)  # encodes the parameters, which takes no forward transform
+    sm.prepare(m)  # encode the parameters before counting transforms
     calls, real = [], np.fft.fft
 
     def counting(*args, **kwargs):
@@ -126,6 +126,17 @@ def test_add_transforms_a_shared_vector_once(monkeypatch):
     assert rel_err(got, oracle.dense(m) @ v) < 1e-9
     assert rel_err(direct, got) < 1e-12
     assert count == dcount == 4 * n - 3
+
+
+def test_add_needs_a_shared_vector_encoder():
+    other = BilinearProgram(
+        enc_param=[[1.0]], enc_vec=[[1.0]], dec=[[1.0]], active=[True]
+    )
+    with pytest.raises(ValueError, match="vector encoder"):
+        bilinear.add(IDENTITY, other)
+    out, count = bilinear.apply(bilinear.add(IDENTITY, IDENTITY), [3.0], [5.0])
+    np.testing.assert_allclose(out, [30.0])
+    assert count == 2
 
 
 def test_prune_check_reports():
