@@ -4,20 +4,18 @@ counts.
 Circulant, Toeplitz, Hankel, symmetric, Toeplitz-plus-Hankel, sparse, and
 arbitrarily nested multilevel (Kronecker) structures, each with a bilinear
 program whose genuine-multiplication count is minimal and measured at
-runtime, plus a direct path that runs the same program with the
+runtime, plus a direct path that applies the same program with the
 parameters encoded once per matrix (``prepare(m)``), and a dense
 brute-force oracle for cross-checking.
 """
 
-from .bilinear import BilinearProgram, CountReport, apply, conjugate_by, kron, prune_check
+from .bilinear import BilinearProgram, CountReport, Prepared, apply, kron, prune_check
 from .kernels import (
-    Prepared,
     circulant_program,
     direct_matvec,
     hankel_program,
     sparse_program,
     symmetric_program,
-    toeplitz_embedding,
     toeplitz_program,
     tph_program,
 )
@@ -25,7 +23,6 @@ from .multilevel import (
     intermediate_w_values,
     multilevel_matvec_direct,
     multilevel_program,
-    param_vector,
     prepare,
 )
 from .oracle import dense, naive_matvec
@@ -64,7 +61,6 @@ __all__ = [
     "ToeplitzRep",
     "apply",
     "circulant_program",
-    "conjugate_by",
     "dense",
     "dft",
     "direct_matvec",
@@ -78,12 +74,10 @@ __all__ = [
     "naive_matvec",
     "order",
     "param_dim",
-    "param_vector",
     "prepare",
     "prune_check",
     "sparse_program",
     "symmetric_program",
-    "toeplitz_embedding",
     "toeplitz_program",
     "tph_program",
     "validate",

@@ -4,7 +4,10 @@ A bilinear program evaluates a bilinear map in four stages: encode the
 parameter vector (enc_param), encode the input vector (enc_vec), multiply
 the two encodings pointwise, and decode (dec).  Only the pointwise products
 count as genuine multiplications; everything else is multiplication by
-fixed constants, which is free.
+fixed constants, which is free.  The pointwise stage has one
+implementation, :class:`Prepared`: a full vector of slot coefficients,
+encoded once, multiplies the encoded input in place.  :func:`apply` encodes
+the parameters on each call and goes through the same stage.
 
 The three maps are operators (:mod:`structmv.operators`): Fourier
 transforms, index maps, and their compositions, Kronecker products and
@@ -14,15 +17,16 @@ Arrays passed in are kept as dense matrices.  The combinators here
 compose operators.
 
 Slots whose parameter-side row is identically zero are marked inactive by
-the builder and never evaluated, so the number of active slots is the
-program's multiplication count.  The inactive mask is an analytic claim
+the builder.  Their coefficient is set to exactly 0, and multiplying by the
+constant 0 is free, so the number of active slots is the program's
+multiplication count.  The inactive mask is an analytic claim
 made by whoever built the program; :func:`prune_check` verifies it
 numerically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,13 +60,16 @@ class BilinearProgram:
 
     The maps are operators; an array given for one is kept as a dense
     matrix, and so is an index map of at most SMALL_DENSE entries that is
-    not a gather.
+    not a gather.  ``count``, the genuine multiplications per evaluation,
+    and ``inactive``, the indices of the inactive slots, are computed once.
     """
 
     enc_param: Operator
     enc_vec: Operator
     dec: Operator
     active: np.ndarray
+    count: int = field(init=False, repr=False)
+    inactive: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "enc_param", _stored(self.enc_param))
@@ -78,6 +85,10 @@ class BilinearProgram:
                 f"enc_vec {self.enc_vec.shape}, dec {self.dec.shape}, "
                 f"active {len(act)}"
             )
+        inactive = np.flatnonzero(~act)
+        inactive.setflags(write=False)
+        object.__setattr__(self, "count", int(act.sum()))
+        object.__setattr__(self, "inactive", inactive)
 
     @property
     def r(self) -> int:
@@ -94,11 +105,6 @@ class BilinearProgram:
     @property
     def n_out(self) -> int:
         return self.dec.shape[0]
-
-    @property
-    def count(self) -> int:
-        """Number of genuine multiplications per evaluation."""
-        return int(self.active.sum())
 
 
 def _stored(x) -> Operator:
@@ -121,35 +127,77 @@ class CountReport:
     match: bool
 
 
-def apply(program: BilinearProgram, a, v) -> tuple[np.ndarray, int]:
-    """Evaluate the program on parameter vector ``a`` and input ``v``.
-
-    Returns (output, measured_count) where measured_count is the number of
-    pointwise products actually evaluated (the active slots).  A ``v`` of
-    shape (n_in, k) is a block of k vectors: the output has shape
-    (n_out, k) and the count is k times the active slots.
-    """
+def coefficients(program: BilinearProgram, a) -> np.ndarray:
+    """Slot coefficients of ``program`` on parameter vector ``a``: its
+    parameter encoding, with the inactive slots set to exactly 0."""
     a = np.asarray(a, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex)
-    block = v.ndim == 2
-    if not block:
-        v = v.reshape(-1)
     if len(a) != program.d_param:
         raise ValueError(
             f"parameter vector has length {len(a)}, expected {program.d_param}"
         )
-    if len(v) != program.n_in:
+    coef = program.enc_param @ a
+    coef[program.inactive] = 0
+    return coef
+
+
+def slot_products(program: BilinearProgram, coef, v,
+                  kind: str = "program") -> np.ndarray:
+    """The pointwise stage: ``coef`` times the encoded input, one product
+    per slot.  ``v`` has shape (n_in,), or (n_in, k) for a block of k
+    vectors; ``kind`` names the matrix in error messages."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim not in (1, 2):
         raise ValueError(
-            f"input vector has length {len(v)}, expected {program.n_in}"
+            f"expected a vector or a block of vectors, got shape {v.shape}"
         )
-    pa = program.enc_param.apply(a)
-    pv = program.enc_vec.apply(v)
-    act = program.active
-    w = np.zeros((program.r,) + v.shape[1:], dtype=complex)
-    if block:
-        pa = pa[:, None]
-    w[act] = pa[act] * pv[act]
-    return program.dec.apply(w), int(act.sum()) * (v.shape[1] if block else 1)
+    if len(v) != program.n_in:
+        raise ValueError(f"{kind} order {program.n_in} does not match "
+                         f"input vector length {len(v)}")
+    x = program.enc_vec @ v
+    x *= coef if v.ndim == 1 else coef[:, None]
+    return x
+
+
+def _decode(program: BilinearProgram, x) -> tuple[np.ndarray, int]:
+    return program.dec @ x, program.count * (x.shape[1] if x.ndim == 2 else 1)
+
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """A matrix ready for products: its bilinear ``program`` and ``coef``,
+    one read-only coefficient per slot, encoded once from the matrix's
+    parameters.  The constructor copies ``coef`` and sets every inactive
+    slot to exactly 0.  ``kind`` names the structure in error messages."""
+
+    kind: str
+    program: BilinearProgram
+    coef: np.ndarray
+
+    def __post_init__(self):
+        coef = np.array(self.coef, dtype=complex)
+        coef[self.program.inactive] = 0
+        coef.setflags(write=False)
+        object.__setattr__(self, "coef", coef)
+
+    def apply(self, v) -> tuple[np.ndarray, int]:
+        """Product with ``v`` of shape (n,), or with each column of ``v`` of
+        shape (n, k).  Returns (product, count); the count is the genuine
+        multiplications formed, k times the active slots."""
+        return _decode(self.program,
+                       slot_products(self.program, self.coef, v, self.kind))
+
+
+def apply(program: BilinearProgram, a, v) -> tuple[np.ndarray, int]:
+    """Evaluate the program on parameter vector ``a`` and input ``v``.
+
+    Returns (output, measured_count) where measured_count is the number of
+    genuine products formed (the active slots).  ``v`` takes the shapes of
+    :meth:`Prepared.apply`: a ``v`` of shape (n_in, k) is a block of k
+    vectors, the output has shape (n_out, k) and the count is k times the
+    active slots.
+    """
+    coef = coefficients(program, a)
+    return _decode(program, slot_products(program, coef, v))
 
 
 def kron(p1: BilinearProgram, p2: BilinearProgram) -> BilinearProgram:
@@ -230,7 +278,7 @@ def drop_inactive(program: BilinearProgram) -> BilinearProgram:
         enc_param=compose(keep, program.enc_param),
         enc_vec=compose(keep, program.enc_vec),
         dec=compose(program.dec, keep.T),
-        active=np.ones(int(act.sum()), dtype=bool),
+        active=np.ones(program.count, dtype=bool),
     )
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import bilinear, kernels, multilevel, oracle
 from .structures import (
+    KINDS,
     CirculantRep,
     HankelRep,
     MultilevelRep,
@@ -34,25 +35,8 @@ from .structures import (
     validate,
 )
 
-STRUCTURES = (
-    "circulant",
-    "toeplitz",
-    "hankel",
-    "symmetric",
-    "toeplitz_plus_hankel",
-    "sparse",
-    "multilevel",
-)
-
-_TAGS = {
-    CirculantRep: "circulant",
-    ToeplitzRep: "toeplitz",
-    HankelRep: "hankel",
-    SymmetricRep: "symmetric",
-    ToeplitzPlusHankelRep: "toeplitz_plus_hankel",
-    SparseRep: "sparse",
-    MultilevelRep: "multilevel",
-}
+STRUCTURES = tuple(KINDS.values())
+_CLASSES = {tag: cls for cls, tag in KINDS.items()}
 
 
 class FileFormatError(ValueError):
@@ -94,7 +78,7 @@ def _complex_to_pairs(values) -> list:
 
 
 def matrix_to_obj(m: StructuredMatrix) -> dict:
-    tag = _TAGS[type(m)]
+    tag = KINDS[type(m)]
     if isinstance(m, ToeplitzPlusHankelRep):
         return {
             "structure": tag,
@@ -149,14 +133,7 @@ def matrix_from_obj(obj) -> StructuredMatrix:
             values[k] = _pairs_to_complex([entry["v"]], f"entries[{k}].v")[0]
         m = SparseRep(SparsityPattern(n, tuple(support)), values)
     else:
-        param = _pairs_to_complex(obj.get("param"), "param")
-        cls = {
-            "circulant": CirculantRep,
-            "toeplitz": ToeplitzRep,
-            "hankel": HankelRep,
-            "symmetric": SymmetricRep,
-        }[tag]
-        m = cls(n, param)
+        m = _CLASSES[tag](n, _pairs_to_complex(obj.get("param"), "param"))
     validate(m)
     return m
 

@@ -2,12 +2,12 @@
 
 Each structure gets a builder producing a
 :class:`~structmv.bilinear.BilinearProgram` whose active-slot count is
-provably minimal for that structure.  The direct path runs that same
-program: :func:`prepare_level` encodes a matrix's parameters once into the
-coefficients of the program's active slots and keeps them on the matrix,
-so a direct product is the program's vector encoder, one pointwise
-multiply per active slot and its decoder, on a vector or on a block of
-vectors along a trailing axis.
+provably minimal for that structure.  The direct path applies that same
+program: :func:`prepare_level` encodes a matrix's parameters once into one
+coefficient per slot, 0 at the inactive slots, and keeps them on the
+matrix as a :class:`~structmv.bilinear.Prepared`.  A direct product is the
+program's vector encoder, one pointwise multiply and its decoder, on a
+vector or on a block of vectors along a trailing axis.
 
 The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
 into a circulant of twice the order with the free first-row entry chosen as
@@ -25,15 +25,16 @@ operators' one rule, the same on both routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bilinear
-from .bilinear import BilinearProgram
+from .bilinear import BilinearProgram, Prepared
 from .operators import Dense, Fourier, Select, VStack, compose
 from .structures import (
+    KINDS,
     CirculantRep,
     HankelRep,
     SparseRep,
@@ -42,6 +43,7 @@ from .structures import (
     SymmetricRep,
     ToeplitzPlusHankelRep,
     ToeplitzRep,
+    require_params,
 )
 
 
@@ -68,7 +70,7 @@ class EmbeddingSpec:
         entry (the product's first n outputs do not depend on it)."""
         n = self.n
         param = np.asarray(param, dtype=complex).reshape(-1)
-        _check_length("toeplitz", n, param, 2 * n - 1)
+        require_params("toeplitz", n, len(param), 2 * n - 1)
         c = np.empty(2 * n, dtype=complex)
         c[:n] = param[n - 1:]
         c[n] = -param.sum() if b is None else b
@@ -291,16 +293,6 @@ def tph_gauge_embed(n: int) -> Select:
 # single-level dispatch
 # ---------------------------------------------------------------------------
 
-_KINDS = {
-    CirculantRep: "circulant",
-    ToeplitzRep: "toeplitz",
-    HankelRep: "hankel",
-    SymmetricRep: "symmetric",
-    ToeplitzPlusHankelRep: "toeplitz_plus_hankel",
-    SparseRep: "sparse",
-}
-
-
 def single_level_program(m: StructuredMatrix) -> BilinearProgram:
     """Program for one non-multilevel structure, on its raw parameters."""
     if isinstance(m, CirculantRep):
@@ -328,62 +320,13 @@ def single_level_params(m: StructuredMatrix) -> np.ndarray:
         param = np.asarray(m.values, dtype=complex)
     else:
         param = np.asarray(m.param, dtype=complex)
-    _check_length(_KINDS[type(m)], m.n, param, need)
+    require_params(KINDS[type(m)], m.n, len(param), need)
     return param
 
 
 # ---------------------------------------------------------------------------
 # direct path
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Prepared:
-    """A matrix ready for direct products: its bilinear ``program`` and
-    ``coef``, the read-only coefficients of the program's active slots,
-    encoded once from the matrix's parameters.  ``kind`` names the
-    structure in error messages.
-
-    A product runs the program's vector encoder, sets the inactive slots
-    to zero, multiplies each contiguous run of active slots in place by
-    its coefficients, and runs the decoder.
-    """
-
-    kind: str
-    program: BilinearProgram
-    coef: np.ndarray
-    runs: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.coef.setflags(write=False)
-        active = np.concatenate([[False], self.program.active, [False]])
-        edges = np.flatnonzero(active[1:] != active[:-1]).tolist()
-        object.__setattr__(self, "runs", tuple(zip(edges[::2], edges[1::2])))
-
-    def apply(self, v) -> tuple[np.ndarray, int]:
-        """Product with ``v`` of shape (n,), or with each column of ``v`` of
-        shape (n, k).  Returns (product, count); the count is the genuine
-        multiplications formed, k times the parameter dimension."""
-        v = np.asarray(v, dtype=complex)
-        if v.ndim not in (1, 2):
-            raise ValueError(
-                f"expected a vector or a block of vectors, got shape {v.shape}"
-            )
-        n = self.program.n_in
-        if len(v) != n:
-            raise ValueError(
-                f"{self.kind} order {n} does not match vector length {len(v)}"
-            )
-        x = self.program.enc_vec @ v
-        k = v.shape[1] if v.ndim == 2 else 1
-        coef = self.coef if v.ndim == 1 else self.coef[:, None]
-        done = end = 0
-        for start, stop in self.runs:
-            x[end:start] = 0
-            x[start:stop] *= coef[done:done + stop - start]
-            done, end = done + stop - start, stop
-        x[end:] = 0
-        return self.program.dec @ x, len(self.coef) * k
-
 
 def memo(m: StructuredMatrix, build) -> Prepared:
     """``build(m)``, computed once per matrix object and kept on the object
@@ -402,21 +345,14 @@ def prepare_level(m: StructuredMatrix) -> Prepared:
     return memo(m, _prepare_single)
 
 
-def _check_length(kind, n, param, need):
-    if len(param) != need:
-        raise ValueError(
-            f"{kind} of order {n} needs {need} parameters, got {len(param)}"
-        )
-
-
 def _toeplitz_slots(n: int, param) -> np.ndarray:
     """All slot values of :func:`toeplitz_program` on ``param``."""
     return toeplitz_program(n).enc_param @ np.ascontiguousarray(param)
 
 
 def _prepare_single(m: StructuredMatrix) -> Prepared:
-    """Encode the parameters of ``m`` into the coefficients of the active
-    slots of :func:`single_level_program`.
+    """Encode the parameters of ``m`` into the slot coefficients of
+    :func:`single_level_program`.
 
     The Hankel branches, alone and in Toeplitz-plus-Hankel, take the
     Toeplitz encoder on their reversed parameters.  That is the slot
@@ -434,7 +370,7 @@ def _prepare_single(m: StructuredMatrix) -> Prepared:
                                 _toeplitz_slots(m.n, t - shift)])
     else:
         slots = program.enc_param @ param
-    return Prepared(_KINDS[type(m)], program, slots[program.active])
+    return Prepared(KINDS[type(m)], program, slots)
 
 
 def direct_matvec(m: StructuredMatrix, v) -> tuple[np.ndarray, int]:

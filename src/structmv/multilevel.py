@@ -1,13 +1,14 @@
 """Multilevel (nested Kronecker) structured products.
 
 The program route tensor-composes the per-level programs, so its count is
-the product of the level counts.  The direct route runs the same
-composition with each level's inactive slots dropped first: its encoders
-and decoder are :class:`~structmv.operators.Kron` operators, applied as one
-mode product per level with no Kronecker matrix formed, and every slot is
-a genuine multiplication.  :func:`prepare` encodes the parameters once per
-matrix, so a product is the Kronecker vector encoder, one pointwise
-multiply and the Kronecker decoder (see :class:`structmv.kernels.Prepared`).
+the product of the level counts; its inactive slots are multiplied by the
+constant 0.  The direct route applies the same composition with each
+level's inactive slots dropped first: its encoders and decoder are
+:class:`~structmv.operators.Kron` operators, applied as one mode product
+per level with no Kronecker matrix formed, and every slot is a genuine
+multiplication.  :func:`prepare` encodes the parameters once per matrix,
+so a product is the Kronecker vector encoder, one pointwise multiply and
+the Kronecker decoder (see :class:`structmv.bilinear.Prepared`).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _active_program(program: BilinearProgram) -> BilinearProgram:
     return bilinear.drop_inactive(program)
 
 
-def prepare(m: StructuredMatrix) -> kernels.Prepared:
+def prepare(m: StructuredMatrix) -> bilinear.Prepared:
     """``m`` prepared for direct products: every parameter encoding done
     once, and kept on the matrix object for as long as it lives.
 
@@ -86,13 +87,13 @@ def prepare(m: StructuredMatrix) -> kernels.Prepared:
     return kernels.memo(m, _prepare_kron)
 
 
-def _prepare_kron(m: MultilevelRep) -> kernels.Prepared:
+def _prepare_kron(m: MultilevelRep) -> bilinear.Prepared:
     programs = [_active_program(level_program(level)) for level in m.levels]
     # the Kronecker encoder applied to param_vector(m) is the Kronecker
     # product of the levels' encoded parameters, which costs far less
     coef = _kron_vectors([program.enc_param @ level_params(level)
                           for program, level in zip(programs, m.levels)])
-    return kernels.Prepared("multilevel", reduce(bilinear.kron, programs), coef)
+    return bilinear.Prepared("multilevel", reduce(bilinear.kron, programs), coef)
 
 
 def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:
@@ -114,9 +115,5 @@ def intermediate_w_values(m: MultilevelRep, v) -> np.ndarray:
     head_p = level_program(m.levels[0])
     tail_p = multilevel_program(MultilevelRep(m.levels[1:]))
     full = bilinear.kron(head_p, tail_p)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    pa = full.enc_param.apply(param_vector(m))
-    pv = full.enc_vec.apply(v)
-    w = np.zeros(full.r, dtype=complex)
-    w[full.active] = pa[full.active] * pv[full.active]
-    return w.reshape(head_p.r, tail_p.r)
+    coef = bilinear.coefficients(full, param_vector(m))
+    return bilinear.slot_products(full, coef, v).reshape(head_p.r, tail_p.r)

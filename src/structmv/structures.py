@@ -10,6 +10,7 @@ promoted with zero imaginary parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -45,7 +46,7 @@ class CirculantRep:
 class ToeplitzRep:
     """Toeplitz matrix of order n stored as 2n-1 diagonal values.
 
-    Entry (i, j) equals ``param[j - i + n - 1]``; param runs from the
+    Entry (i, j) equals ``param[j - i + n - 1]``; param goes from the
     bottom-left corner to the top-right corner.
     """
 
@@ -60,7 +61,7 @@ class ToeplitzRep:
 class HankelRep:
     """Hankel matrix of order n stored as 2n-1 anti-diagonal values.
 
-    Entry (i, j) equals ``param[2n - 2 - i - j]``; param runs from the
+    Entry (i, j) equals ``param[2n - 2 - i - j]``; param goes from the
     bottom-right corner to the top-left corner.
     """
 
@@ -173,6 +174,17 @@ SingleLevelRep = Union[
 ]
 StructuredMatrix = Union[SingleLevelRep, MultilevelRep]
 
+# each structure's name in files, on the command line and in messages
+KINDS = {
+    CirculantRep: "circulant",
+    ToeplitzRep: "toeplitz",
+    HankelRep: "hankel",
+    SymmetricRep: "symmetric",
+    ToeplitzPlusHankelRep: "toeplitz_plus_hankel",
+    SparseRep: "sparse",
+    MultilevelRep: "multilevel",
+}
+
 
 def symmetric_pack_index(n: int, i: int, j: int) -> int:
     """Packed position of entry (i, j) of an order-n symmetric matrix.
@@ -187,15 +199,8 @@ def symmetric_pack_index(n: int, i: int, j: int) -> int:
 
 def order(m: StructuredMatrix) -> int:
     """Order of the represented square matrix."""
-    if isinstance(m, ToeplitzPlusHankelRep):
-        return m.toeplitz.n
-    if isinstance(m, SparseRep):
-        return m.pattern.n
     if isinstance(m, MultilevelRep):
-        out = 1
-        for level in m.levels:
-            out *= order(level)
-        return out
+        return math.prod(order(level) for level in m.levels)
     return m.n
 
 
@@ -218,10 +223,7 @@ def param_dim(m: StructuredMatrix) -> int:
     if isinstance(m, SparseRep):
         return len(m.pattern.support)
     if isinstance(m, MultilevelRep):
-        out = 1
-        for level in m.levels:
-            out *= param_dim(level)
-        return out
+        return math.prod(param_dim(level) for level in m.levels)
     raise TypeError(f"not a structured matrix: {type(m).__name__}")
 
 
@@ -230,36 +232,20 @@ def _require(cond: bool, message: str):
         raise StructureError(message)
 
 
+def require_params(kind: str, n: int, got: int, need: int) -> None:
+    """Raise StructureError unless a ``kind`` of order ``n`` has its
+    ``need`` parameters."""
+    _require(got == need,
+             f"{kind} of order {n} needs {need} parameters, got {got}")
+
+
 def validate(m: StructuredMatrix) -> None:
     """Check all invariants of ``m``; raise StructureError on the first
     violation, return None when the representation is well formed."""
-    if isinstance(m, CirculantRep):
-        _require(m.n >= 1, f"circulant order must be >= 1, got {m.n}")
-        _require(
-            len(m.param) == m.n,
-            f"circulant of order {m.n} needs {m.n} parameters, got {len(m.param)}",
-        )
-    elif isinstance(m, ToeplitzRep):
-        _require(m.n >= 1, f"toeplitz order must be >= 1, got {m.n}")
-        _require(
-            len(m.param) == 2 * m.n - 1,
-            f"toeplitz of order {m.n} needs {2 * m.n - 1} parameters, "
-            f"got {len(m.param)}",
-        )
-    elif isinstance(m, HankelRep):
-        _require(m.n >= 1, f"hankel order must be >= 1, got {m.n}")
-        _require(
-            len(m.param) == 2 * m.n - 1,
-            f"hankel of order {m.n} needs {2 * m.n - 1} parameters, "
-            f"got {len(m.param)}",
-        )
-    elif isinstance(m, SymmetricRep):
-        _require(m.n >= 1, f"symmetric order must be >= 1, got {m.n}")
-        need = m.n * (m.n + 1) // 2
-        _require(
-            len(m.param) == need,
-            f"symmetric of order {m.n} needs {need} parameters, got {len(m.param)}",
-        )
+    if isinstance(m, (CirculantRep, ToeplitzRep, HankelRep, SymmetricRep)):
+        kind = KINDS[type(m)]
+        _require(m.n >= 1, f"{kind} order must be >= 1, got {m.n}")
+        require_params(kind, m.n, len(m.param), param_dim(m))
     elif isinstance(m, ToeplitzPlusHankelRep):
         validate(m.toeplitz)
         validate(m.hankel)

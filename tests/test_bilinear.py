@@ -38,6 +38,12 @@ def test_apply_rejects_bad_dimensions():
         bilinear.apply(IDENTITY, [1.0], [1.0, 2.0])
 
 
+def test_apply_rejects_a_three_dimensional_input():
+    program = kernels.circulant_program(3)
+    with pytest.raises(ValueError, match="block"):
+        bilinear.apply(program, [1, 2, 3], np.ones((3, 1, 1)))
+
+
 def test_kron_identity():
     p = bilinear.kron(IDENTITY, IDENTITY)
     assert p.r == 1 and p.count == 1

@@ -490,6 +490,36 @@ def test_prepared_memo_dies_with_its_matrix():
         assert ref() is None
 
 
+@pytest.mark.parametrize("structure", SINGLE_LEVEL)
+def test_prepared_inactive_slots_hold_the_constant_zero(structure):
+    inactive_slots = {"toeplitz": 1, "hankel": 1, "toeplitz_plus_hankel": 3}
+    rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 90)
+    for n in range(1, 10):
+        m = random_instance(structure, n, rng)
+        prepared = sm.prepare(m)
+        inactive = ~prepared.program.active
+        assert len(prepared.coef) == prepared.program.r
+        assert inactive.sum() == inactive_slots.get(structure, 0)
+        np.testing.assert_array_equal(prepared.coef[inactive], 0)
+        _, count = prepared.apply(gaussian(rng, n))
+        assert count == prepared.program.count == sm.param_dim(m)
+
+
+@pytest.mark.parametrize("structure", ("circulant", "symmetric", "sparse"))
+def test_program_and_direct_routes_agree_bit_for_bit(structure):
+    # one program, one encoding of its parameters and one slot stage
+    rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 100)
+    for n in (1, 4, 9, 16):
+        m = random_instance(structure, n, rng)
+        v = gaussian(rng, (n, 2))
+        program = kernels.single_level_program(m)
+        params = kernels.single_level_params(m)
+        for block in (v[:, 0], v):
+            np.testing.assert_array_equal(
+                bilinear.apply(program, params, block)[0],
+                kernels.direct_matvec(m, block)[0])
+
+
 def test_prepared_rejects_bad_shapes():
     prepared = sm.prepare(sm.CirculantRep(3, [1, 2, 3]))
     with pytest.raises(ValueError, match="circulant order 3"):

@@ -128,6 +128,17 @@ def test_intermediate_w_values_swap_symmetry():
     assert rel_err(w, w.T) < 1e-12
 
 
+def test_intermediate_w_values_inactive_head_row_is_exactly_zero():
+    rng = np.random.default_rng(6)
+    m = sm.MultilevelRep((sm.ToeplitzRep(3, gaussian(rng, 5)),
+                          sm.CirculantRep(2, gaussian(rng, 2))))
+    w = multilevel.intermediate_w_values(m, gaussian(rng, 6))
+    assert w.shape == (6, 2)
+    assert not kernels.toeplitz_program(3).active[0]
+    np.testing.assert_array_equal(w[0], 0)
+    assert np.all(w[1:] != 0)
+
+
 def test_intermediate_w_values_needs_two_levels():
     with pytest.raises(ValueError):
         multilevel.intermediate_w_values(
