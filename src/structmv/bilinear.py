@@ -13,8 +13,7 @@ The three maps are operators (:mod:`structmv.operators`): Fourier
 transforms, index maps, and their compositions, Kronecker products and
 stacks, with no matrix formed beyond ``operators.SMALL_DENSE`` entries.
 Arrays passed in are kept as dense matrices.  The combinators here
-(:func:`kron`, :func:`conjugate_by`, :func:`add`, :func:`drop_inactive`)
-compose operators.
+(:func:`kron`, :func:`conjugate_by`, :func:`add`) compose operators.
 
 Slots whose parameter-side row is identically zero are marked inactive by
 the builder.  Their coefficient is set to exactly 0, and multiplying by the
@@ -265,20 +264,6 @@ def add(p1: BilinearProgram, p2: BilinearProgram) -> BilinearProgram:
                         p1.enc_vec),
         dec=HStack([p1.dec, p2.dec]),
         active=np.concatenate([p1.active, p2.active]),
-    )
-
-
-def drop_inactive(program: BilinearProgram) -> BilinearProgram:
-    """Remove structurally-zero slots; the evaluated map is unchanged."""
-    act = program.active
-    if act.all():
-        return program
-    keep = Select.take(program.r, np.flatnonzero(act))
-    return BilinearProgram(
-        enc_param=compose(keep, program.enc_param),
-        enc_vec=compose(keep, program.enc_vec),
-        dec=compose(program.dec, keep.T),
-        active=np.ones(program.count, dtype=bool),
     )
 
 

@@ -322,7 +322,7 @@ def cmd_verify(args) -> int:
         v = _gaussian(rng, order(m))
     want = oracle.naive_matvec(oracle.dense(m), v)
     theoretical = param_dim(m)
-    program = program_for(m)
+    program = multilevel.prepare(m).program
     prog_result, prog_count = bilinear.apply(program, params_for(m), v)
     direct_result, direct_count = apply_structured(m, v, "direct")
     report = bilinear.prune_check(program)
@@ -401,7 +401,7 @@ def cmd_bench(args) -> int:
     for name, m in instances:
         total = order(m)
         v = _gaussian(rng, total)
-        program = program_for(m)
+        program = multilevel.prepare(m).program
         params = params_for(m)
         methods = [
             ("structured-program", lambda: bilinear.apply(program, params, v),
@@ -460,6 +460,13 @@ def _density(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -496,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("vector", nargs="?", help="vector file (default: "
                                                "generated from --seed)")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--tol", type=float, default=1e-9)
+    ver.add_argument("--tol", type=_tolerance, default=1e-9)
     ver.set_defaults(fn=cmd_verify)
 
     cnt = sub.add_parser("count", help="theoretical vs measured count table")

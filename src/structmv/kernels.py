@@ -17,10 +17,11 @@ output.  Symmetric forms one product per entry pair, a_ij (v_i + v_j), and
 one per diagonal entry, (a_ii - sum_{j != i} a_ij) v_i, with index maps
 only.  Toeplitz-plus-Hankel shifts a multiple of the all-ones matrix between
 its two components so that the Toeplitz part's frequency-1 slot vanishes as
-well, saving a second multiplication.  Sparse is the usual support-driven
-matvec, as one gather, one multiply and one segmented sum.  Whether a map
-applies as a small dense matrix, an index map or ``np.fft`` is the
-operators' one rule, the same on both routes.
+well, saving a second multiplication; the shift is part of the program, so
+a multilevel level runs it on its raw 4n-2 parameters too.  Sparse is the
+usual support-driven matvec, as one gather, one multiply and one segmented
+sum.  Whether a map applies as a small dense matrix, an index map or
+``np.fft`` is the operators' one rule, the same on both routes.
 """
 
 from __future__ import annotations
@@ -251,42 +252,6 @@ def sparse_program(pattern: SparsityPattern) -> BilinearProgram:
         dec=Select.take(pattern.n, pattern.rows).T,
         active=np.ones(r, dtype=bool),
     )
-
-
-# ---------------------------------------------------------------------------
-# multilevel gauge for the Toeplitz-plus-Hankel parameter space
-# ---------------------------------------------------------------------------
-#
-# The raw (t, h) pair has 4n-2 entries but one all-ones gauge direction.
-# For tensor composition we need exactly 4n-3 coordinates per level, so we
-# fix the gauge where the Toeplitz component has zero main diagonal: shift
-# c = t[n-1] of the all-ones matrix into the Hankel component and drop the
-# now-zero diagonal coordinate.  The kernel re-derives its own shift, so
-# the coordinate choice does not affect counts.
-
-def _gauge_coordinates(n: int) -> np.ndarray:
-    """Raw (t, h) positions of the 4n-3 gauge-fixed coordinates: every
-    entry but the Toeplitz main diagonal t[n-1]."""
-    return np.delete(np.arange(4 * n - 2), n - 1)
-
-
-@lru_cache(maxsize=64)
-def tph_gauge_project(n: int) -> Select:
-    """(4n-3, 4n-2) map from raw (t, h) to gauge-fixed coordinates."""
-    coords = _gauge_coordinates(n)
-    rows = np.arange(4 * n - 3)
-    # every coordinate gets -c (Toeplitz) or +c (Hankel) from c = t[n-1]
-    signs = np.where(coords < 2 * n - 1, -1.0, 1.0)
-    return Select((4 * n - 3, 4 * n - 2),
-                  np.concatenate([rows, rows]),
-                  np.concatenate([coords, np.full(4 * n - 3, n - 1)]),
-                  np.concatenate([np.ones(4 * n - 3), signs]))
-
-
-@lru_cache(maxsize=64)
-def tph_gauge_embed(n: int) -> Select:
-    """(4n-2, 4n-3) section: reinsert the zero diagonal coordinate."""
-    return Select.take(4 * n - 2, _gauge_coordinates(n)).T
 
 
 # ---------------------------------------------------------------------------

@@ -1,53 +1,24 @@
 """Multilevel (nested Kronecker) structured products.
 
-The program route tensor-composes the per-level programs, so its count is
-the product of the level counts; its inactive slots are multiplied by the
-constant 0.  The direct route applies the same composition with each
-level's inactive slots dropped first: its encoders and decoder are
-:class:`~structmv.operators.Kron` operators, applied as one mode product
-per level with no Kronecker matrix formed, and every slot is a genuine
-multiplication.  :func:`prepare` encodes the parameters once per matrix,
-so a product is the Kronecker vector encoder, one pointwise multiply and
-the Kronecker decoder (see :class:`structmv.bilinear.Prepared`).
+A multilevel matrix runs one program on one parameter vector: the tensor
+composition of its levels' single-level programs, on the Kronecker product
+of their raw parameter vectors.  Its count is the product of the level
+counts, and its inactive slots are multiplied by the constant 0 on both
+routes.  The maps are :class:`~structmv.operators.Kron` operators, applied
+as one mode product per level with no Kronecker matrix formed.
+:func:`prepare` encodes the parameters once per matrix (see
+:class:`structmv.bilinear.Prepared`).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from . import bilinear, kernels
 from .bilinear import BilinearProgram
-from .structures import MultilevelRep, StructuredMatrix, ToeplitzPlusHankelRep
-
-
-def level_program(level: StructuredMatrix) -> BilinearProgram:
-    """Per-level program used in tensor composition.
-
-    Identical to the single-level builders except for Toeplitz-plus-Hankel,
-    which is re-parameterized on its 4n-3 gauge-fixed coordinates so that
-    level parameter dimensions multiply correctly.
-    """
-    if isinstance(level, ToeplitzPlusHankelRep):
-        return _gauged_tph_program(level.n)
-    return kernels.single_level_program(level)
-
-
-@lru_cache(maxsize=64)
-def _gauged_tph_program(n: int) -> BilinearProgram:
-    """:func:`kernels.tph_program` on the gauge-fixed coordinates."""
-    return bilinear.conjugate_by(kernels.tph_program(n),
-                                 pre_param=kernels.tph_gauge_embed(n),
-                                 pre_vec=None, post=None)
-
-
-def level_params(level: StructuredMatrix) -> np.ndarray:
-    """Parameter vector matching :func:`level_program`."""
-    if isinstance(level, ToeplitzPlusHankelRep):
-        raw = kernels.single_level_params(level)
-        return kernels.tph_gauge_project(level.n) @ raw
-    return kernels.single_level_params(level)
+from .structures import MultilevelRep, StructuredMatrix
 
 
 def _kron_vectors(vectors) -> np.ndarray:
@@ -57,30 +28,24 @@ def _kron_vectors(vectors) -> np.ndarray:
 
 
 def param_vector(m: MultilevelRep) -> np.ndarray:
-    """Kronecker product of the per-level parameter vectors."""
-    return _kron_vectors([level_params(level) for level in m.levels])
+    """Kronecker product of the levels' raw parameter vectors."""
+    return _kron_vectors([kernels.single_level_params(level)
+                          for level in m.levels])
 
 
 def multilevel_program(m: MultilevelRep) -> BilinearProgram:
-    """Tensor composition of the per-level programs (left fold)."""
-    return reduce(bilinear.kron, [level_program(level) for level in m.levels])
-
-
-@lru_cache(maxsize=64)
-def _active_program(program: BilinearProgram) -> BilinearProgram:
-    """``program`` with its inactive slots dropped, once per level program
-    (the builders cache theirs), so that every slot is counted."""
-    return bilinear.drop_inactive(program)
+    """Tensor composition of the levels' single-level programs (left fold)."""
+    return reduce(bilinear.kron,
+                  [kernels.single_level_program(level) for level in m.levels])
 
 
 def prepare(m: StructuredMatrix) -> bilinear.Prepared:
     """``m`` prepared for direct products: every parameter encoding done
     once, and kept on the matrix object for as long as it lives.
 
-    A multilevel matrix keeps the Kronecker product of its levels' programs
-    with their inactive slots dropped, and that program's encoded
-    parameters: one complex number per genuine multiplication of a
-    product, ``param_dim(m)`` in all.
+    A multilevel matrix keeps :func:`multilevel_program` and one
+    coefficient per slot of it: ``param_dim(m)`` genuine multiplications
+    plus the inactive slots, which hold 0.
     """
     if not isinstance(m, MultilevelRep):
         return kernels.prepare_level(m)
@@ -88,12 +53,11 @@ def prepare(m: StructuredMatrix) -> bilinear.Prepared:
 
 
 def _prepare_kron(m: MultilevelRep) -> bilinear.Prepared:
-    programs = [_active_program(level_program(level)) for level in m.levels]
     # the Kronecker encoder applied to param_vector(m) is the Kronecker
     # product of the levels' encoded parameters, which costs far less
-    coef = _kron_vectors([program.enc_param @ level_params(level)
-                          for program, level in zip(programs, m.levels)])
-    return bilinear.Prepared("multilevel", reduce(bilinear.kron, programs), coef)
+    coef = _kron_vectors([kernels.prepare_level(level).coef
+                          for level in m.levels])
+    return bilinear.Prepared("multilevel", multilevel_program(m), coef)
 
 
 def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:
@@ -112,8 +76,7 @@ def intermediate_w_values(m: MultilevelRep, v) -> np.ndarray:
     """
     if len(m.levels) < 2:
         raise ValueError("intermediate products need at least two levels")
-    head_p = level_program(m.levels[0])
-    tail_p = multilevel_program(MultilevelRep(m.levels[1:]))
-    full = bilinear.kron(head_p, tail_p)
-    coef = bilinear.coefficients(full, param_vector(m))
-    return bilinear.slot_products(full, coef, v).reshape(head_p.r, tail_p.r)
+    program = multilevel_program(m)
+    coef = bilinear.coefficients(program, param_vector(m))
+    head_r = kernels.single_level_program(m.levels[0]).r
+    return bilinear.slot_products(program, coef, v).reshape(head_r, -1)

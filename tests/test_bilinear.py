@@ -198,15 +198,6 @@ def test_inactive_slots_never_contribute():
     )
 
 
-def test_drop_inactive_preserves_map():
-    rng = np.random.default_rng(11)
-    p = kernels.toeplitz_program(3)
-    q = bilinear.drop_inactive(p)
-    assert q.r == p.count and q.count == p.count
-    a, v = gaussian(rng, 5), gaussian(rng, 3)
-    assert rel_err(bilinear.apply(q, a, v)[0], bilinear.apply(p, a, v)[0]) < 1e-14
-
-
 def test_program_shape_validation():
     with pytest.raises(ValueError, match="inconsistent"):
         BilinearProgram(

@@ -177,6 +177,19 @@ def test_verify_builds_the_program_once(tmp_path, monkeypatch, capsys):
     assert len(full_builds) == 1
 
 
+def test_verify_tolerance_must_be_finite_and_non_negative(tmp_path):
+    gen = run_cli(["gen", "--structure", "circulant", "--n", "4",
+                   "-o", "c.json"], tmp_path)
+    assert gen.returncode == 0
+    for tol in ("inf", "nan", "-1"):
+        r = run_cli(["verify", "c.json", "--tol", tol], tmp_path)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert "--tol" in r.stderr.strip().splitlines()[-1]
+    r = run_cli(["verify", "c.json", "--tol", "0"], tmp_path)
+    assert r.returncode in (0, 1) and "tolerance:" in r.stdout
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 4.00 GiB", ""])
 def test_verify_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, message):
     gen = run_cli(["gen", "--structure", "toeplitz", "--n", "4",
@@ -237,6 +250,22 @@ def test_count_tph_table(tmp_path):
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
+
+def test_bench_builds_the_program_once(monkeypatch, capsys):
+    full_builds = []
+    real = multilevel.multilevel_program
+
+    def counting(m):
+        if len(m.levels) == 3:
+            full_builds.append(m)
+        return real(m)
+
+    monkeypatch.setattr(multilevel, "multilevel_program", counting)
+    assert cli.main(["bench", "--levels", "toeplitz:3,circulant:2,hankel:2",
+                     "--reps", "1"]) == 0
+    assert "structured-direct" in capsys.readouterr().out
+    assert len(full_builds) == 1
+
 
 def test_bench_csv_format(tmp_path):
     r = run_cli(["bench", "--structure", "circulant", "--n-max", "64",

@@ -310,22 +310,6 @@ def test_direct_tph_cancelling_components_give_zero():
     assert np.abs(out).max() < 1e-9 * abs(t[0])
 
 
-def test_tph_gauge_round_trip():
-    rng = np.random.default_rng(8)
-    for n in (1, 2, 4, 6):
-        raw = gaussian(rng, 4 * n - 2)
-        coords = kernels.tph_gauge_project(n) @ raw
-        assert len(coords) == 4 * n - 3
-        back = kernels.tph_gauge_embed(n) @ coords
-        before = oracle.dense(_tph(raw[:2 * n - 1], raw[2 * n - 1:], n))
-        after = oracle.dense(_tph(back[:2 * n - 1], back[2 * n - 1:], n))
-        assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
-        # projecting a gauge-fixed vector is the identity
-        np.testing.assert_allclose(
-            kernels.tph_gauge_project(n) @ back, coords, atol=1e-14
-        )
-
-
 # ---------------------------------------------------------------------------
 # sparse
 # ---------------------------------------------------------------------------

@@ -34,15 +34,6 @@ def test_param_vector_all_ones():
     np.testing.assert_allclose(multilevel.param_vector(m), np.ones(6))
 
 
-def test_param_vector_length_is_product_of_param_dims():
-    rng = np.random.default_rng(0)
-    m = sm.MultilevelRep((
-        random_instance("toeplitz_plus_hankel", 3, rng),
-        random_instance("circulant", 2, rng),
-    ))
-    assert len(multilevel.param_vector(m)) == sm.param_dim(m) == 9 * 2
-
-
 def test_program_counts():
     assert multilevel.multilevel_program(_bccb(1, 2, 3, 4)).count == 4
     m = sm.MultilevelRep((
@@ -193,13 +184,28 @@ def test_three_level_every_head(head):
             assert count == dcount == sm.param_dim(m)
 
 
-def test_tph_level_uses_gauge_fixed_coordinates():
+def test_tph_level_enters_on_raw_parameters():
     rng = np.random.default_rng(7)
-    level = random_instance("toeplitz_plus_hankel", 2, rng)
-    p = multilevel.level_program(level)
-    assert p.d_param == 5  # 4n-3 coordinates, not the raw 4n-2
-    got, count = bilinear.apply(p, multilevel.level_params(level), gaussian(rng, 2))
-    assert count == 5
+    m = sm.MultilevelRep((random_instance("toeplitz_plus_hankel", 3, rng),
+                          random_instance("circulant", 2, rng)))
+    # 4n-2 raw parameters per level, but 4n-3 multiplications
+    assert len(multilevel.param_vector(m)) == 10 * 2
+    program = multilevel.multilevel_program(m)
+    assert program.count == sm.param_dim(m) == 18
+    assert bilinear.prune_check(program).match
+    for at in range(3):
+        names = ["hankel", "circulant"]
+        names.insert(at, "toeplitz_plus_hankel")
+        m = sm.MultilevelRep(tuple(random_instance(s, 2, rng) for s in names))
+        v = gaussian(rng, sm.order(m))
+        want = oracle.dense(m) @ v
+        for got, count in (
+            bilinear.apply(multilevel.multilevel_program(m),
+                           multilevel.param_vector(m), v),
+            multilevel.multilevel_matvec_direct(m, v),
+        ):
+            assert rel_err(got, want) < 1e-9
+            assert count == sm.param_dim(m)
 
 
 def test_single_level_multilevel_direct_matches_kernels():
@@ -233,7 +239,7 @@ def test_equal_sparse_tails_share_one_cache_entry():
     patterns = [sm.SparsityPattern(3, support), sm.SparsityPattern(3, list(support))]
     assert patterns[0] is not patterns[1]
     assert patterns[0] == patterns[1] and hash(patterns[0]) == hash(patterns[1])
-    multilevel._active_program.cache_clear()
+    kernels.sparse_program.cache_clear()
     rng = np.random.default_rng(15)
     for pattern in patterns:
         m = sm.MultilevelRep((random_instance("circulant", 2, rng),
@@ -242,9 +248,9 @@ def test_equal_sparse_tails_share_one_cache_entry():
         got, count = multilevel.multilevel_matvec_direct(m, v)
         assert rel_err(got, oracle.dense(m) @ v) < 1e-9
         assert count == sm.param_dim(m)
-    # the second matrix finds both of its level programs, the sparse one too
-    info = multilevel._active_program.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    # the second matrix finds the sparse level program of the first
+    info = kernels.sparse_program.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 @pytest.mark.parametrize("support", [(), ((1, 2), (0, 0), (1, 0), (1, 1))],
@@ -277,7 +283,9 @@ def test_direct_tail_stays_matrix_free():
                           random_instance("toeplitz", 32, rng),
                           random_instance("hankel", 32, rng)))
     v = gaussian(rng, sm.order(m))
-    multilevel._active_program.cache_clear()
+    for build in (kernels.circulant_program, kernels.toeplitz_program,
+                  kernels.hankel_program):
+        build.cache_clear()
     tracemalloc.start()
     try:
         got, count = multilevel.multilevel_matvec_direct(m, v)
@@ -285,12 +293,31 @@ def test_direct_tail_stays_matrix_free():
     finally:
         tracemalloc.stop()
     # the product prepared m, and its coefficients are still held
-    assert 16 * sm.param_dim(m) == multilevel.prepare(m).coef.nbytes <= held
+    r = multilevel.multilevel_program(m).r
+    assert 16 * r == multilevel.prepare(m).coef.nbytes <= held
     assert peak < 32 * 2**20
     want, wcount = bilinear.apply(multilevel.multilevel_program(m),
                                   multilevel.param_vector(m), v)
     assert rel_err(got, want) < 1e-12
     assert count == wcount == sm.param_dim(m)
+
+
+@pytest.mark.parametrize("head", SINGLE_LEVEL)
+@pytest.mark.parametrize("tail", SINGLE_LEVEL)
+def test_direct_route_runs_the_multilevel_program(head, tail):
+    rng = np.random.default_rng(
+        SINGLE_LEVEL.index(head) * len(SINGLE_LEVEL) + SINGLE_LEVEL.index(tail) + 60)
+    for levels in ([(head, 2), (tail, 3)], [(head, 3), (tail, 2), (head, 2)]):
+        m = sm.MultilevelRep(tuple(random_instance(s, n, rng) for s, n in levels))
+        program = multilevel.multilevel_program(m)
+        prepared = multilevel.prepare(m).program
+        assert prepared.r == program.r
+        np.testing.assert_array_equal(prepared.active, program.active)
+        v = gaussian(rng, sm.order(m))
+        got, count = bilinear.apply(program, multilevel.param_vector(m), v)
+        direct, dcount = multilevel.multilevel_matvec_direct(m, v)
+        assert rel_err(direct, got) < 1e-12
+        assert count == dcount == sm.param_dim(m)
 
 
 @pytest.mark.parametrize("head", SINGLE_LEVEL)
@@ -320,7 +347,8 @@ def test_prepare_encodes_a_multilevel_matrix_once(monkeypatch):
         multilevel.multilevel_matvec_direct(m, gaussian(rng, 12))
     assert calls == [3]
     coef = sm.prepare(m).coef
-    assert coef.shape == (sm.param_dim(m),) and not coef.flags.writeable
+    assert coef.shape == (multilevel.multilevel_program(m).r,)
+    assert not coef.flags.writeable
     ref = weakref.ref(m)
     del m
     gc.collect()
