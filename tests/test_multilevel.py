@@ -34,6 +34,21 @@ def test_param_vector_all_ones():
     np.testing.assert_allclose(multilevel.param_vector(m), np.ones(6))
 
 
+def test_param_vector_length_is_product_of_param_dims():
+    rng = np.random.default_rng(0)
+    m = sm.MultilevelRep((
+        random_instance("toeplitz_plus_hankel", 3, rng),
+        random_instance("circulant", 2, rng),
+    ))
+    # raw parameter lengths multiply (4n-2 for Toeplitz-plus-Hankel), and
+    # so do the multiplication counts (4n-3)
+    raw = [len(kernels.single_level_params(level)) for level in m.levels]
+    assert len(multilevel.param_vector(m)) == np.prod(raw) == 10 * 2
+    assert multilevel.multilevel_program(m).d_param == 10 * 2
+    assert sm.param_dim(m) == np.prod([sm.param_dim(level) for level in m.levels])
+    assert sm.param_dim(m) == 9 * 2
+
+
 def test_program_counts():
     assert multilevel.multilevel_program(_bccb(1, 2, 3, 4)).count == 4
     m = sm.MultilevelRep((
@@ -184,12 +199,27 @@ def test_three_level_every_head(head):
             assert count == dcount == sm.param_dim(m)
 
 
+def test_tph_level_uses_gauge_fixed_coordinates():
+    rng = np.random.default_rng(7)
+    level = random_instance("toeplitz_plus_hankel", 2, rng)
+    p = kernels.single_level_program(level)
+    params = kernels.single_level_params(level)
+    assert p.d_param == len(params) == 6  # the raw 4n-2 parameters
+    got, count = bilinear.apply(p, params, gaussian(rng, 2))
+    assert count == p.count == 5  # 4n-3 gauge-fixed coordinates
+    # the slot coefficients depend on the gauge class only: shifting the
+    # all-ones matrix between the components leaves every one unchanged
+    want = bilinear.coefficients(p, params)
+    shift = complex(*rng.standard_normal(2))
+    gauged = params + shift * np.concatenate([-np.ones(3), np.ones(3)])
+    np.testing.assert_allclose(bilinear.coefficients(p, gauged), want,
+                               rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_tph_level_enters_on_raw_parameters():
     rng = np.random.default_rng(7)
     m = sm.MultilevelRep((random_instance("toeplitz_plus_hankel", 3, rng),
                           random_instance("circulant", 2, rng)))
-    # 4n-2 raw parameters per level, but 4n-3 multiplications
-    assert len(multilevel.param_vector(m)) == 10 * 2
     program = multilevel.multilevel_program(m)
     assert program.count == sm.param_dim(m) == 18
     assert bilinear.prune_check(program).match
