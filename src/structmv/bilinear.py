@@ -12,8 +12,8 @@ the parameters on each call and goes through the same stage.
 The three maps are operators (:mod:`structmv.operators`): Fourier
 transforms, index maps, and their compositions, Kronecker products and
 stacks, with no matrix formed beyond ``operators.SMALL_DENSE`` entries.
-Arrays passed in are kept as dense matrices.  The combinators here
-(:func:`kron`, :func:`conjugate_by`, :func:`add`) compose operators.
+Arrays passed in are kept as dense matrices.  The one combinator here,
+:func:`kron`, nests two programs by Kronecker products of their maps.
 
 Slots whose parameter-side row is identically zero are marked inactive by
 the builder.  Their coefficient is set to exactly 0, and multiplying by the
@@ -29,17 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    SMALL_DENSE,
-    Dense,
-    HStack,
-    Kron,
-    Operator,
-    Select,
-    VStack,
-    as_operator,
-    compose,
-)
+from .operators import Kron, Operator, stored
 
 # an inactive slot's row must be this small relative to the largest entry
 PRUNE_RTOL = 1e-10
@@ -71,9 +61,9 @@ class BilinearProgram:
     inactive: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "enc_param", _stored(self.enc_param))
-        object.__setattr__(self, "enc_vec", _stored(self.enc_vec))
-        object.__setattr__(self, "dec", _stored(self.dec))
+        object.__setattr__(self, "enc_param", stored(self.enc_param))
+        object.__setattr__(self, "enc_vec", stored(self.enc_vec))
+        object.__setattr__(self, "dec", stored(self.dec))
         act = np.array(self.active, dtype=bool).reshape(-1)
         act.setflags(write=False)
         object.__setattr__(self, "active", act)
@@ -104,17 +94,6 @@ class BilinearProgram:
     @property
     def n_out(self) -> int:
         return self.dec.shape[0]
-
-
-def _stored(x) -> Operator:
-    """The operator a program keeps for the map ``x``: :func:`as_operator`,
-    except that a small index map other than a gather becomes its dense
-    matrix, since one small product beats a segmented sum."""
-    op = as_operator(x)
-    if (isinstance(op, Select) and not op.is_gather
-            and op.shape[0] * op.shape[1] <= SMALL_DENSE):
-        return Dense(op.to_dense())
-    return op
 
 
 @dataclass(frozen=True)
@@ -210,60 +189,6 @@ def kron(p1: BilinearProgram, p2: BilinearProgram) -> BilinearProgram:
         enc_vec=Kron([p1.enc_vec, p2.enc_vec]),
         dec=Kron([p1.dec, p2.dec]),
         active=np.kron(p1.active, p2.active).astype(bool),
-    )
-
-
-def conjugate_by(
-    program: BilinearProgram, pre_param, pre_vec, post
-) -> BilinearProgram:
-    """Compose with fixed linear maps: parameters through ``pre_param``,
-    inputs through ``pre_vec``, outputs through ``post``.  Each map is an
-    operator or an array; ``None`` leaves that side unchanged.
-
-    The slots and their active mask are unchanged, so the count is too.
-    """
-    pre_param, pre_vec, post = (
-        None if m is None else as_operator(m) for m in (pre_param, pre_vec, post)
-    )
-    if pre_param is not None and pre_param.shape[0] != program.d_param:
-        raise ValueError(
-            f"pre_param has {pre_param.shape[0]} rows, expected {program.d_param}"
-        )
-    if pre_vec is not None and pre_vec.shape[0] != program.n_in:
-        raise ValueError(
-            f"pre_vec has {pre_vec.shape[0]} rows, expected {program.n_in}"
-        )
-    if post is not None and post.shape[1] != program.n_out:
-        raise ValueError(
-            f"post has {post.shape[1]} columns, expected {program.n_out}"
-        )
-    return BilinearProgram(
-        enc_param=program.enc_param if pre_param is None
-        else compose(program.enc_param, pre_param),
-        enc_vec=program.enc_vec if pre_vec is None
-        else compose(program.enc_vec, pre_vec),
-        dec=program.dec if post is None else compose(post, program.dec),
-        active=program.active,
-    )
-
-
-def add(p1: BilinearProgram, p2: BilinearProgram) -> BilinearProgram:
-    """Pointwise sum of two programs over the same spaces.
-
-    Slots concatenate and the decoded outputs add; counts add as well.
-    Both programs must hold the same vector encoder object: it is applied
-    once, and the second program's slots repeat the first's by one gather.
-    """
-    if (p1.d_param, p1.n_in, p1.n_out) != (p2.d_param, p2.n_in, p2.n_out):
-        raise ValueError("programs act on different spaces")
-    if p1.enc_vec is not p2.enc_vec:
-        raise ValueError("programs do not share their vector encoder")
-    return BilinearProgram(
-        enc_param=VStack([p1.enc_param, p2.enc_param]),
-        enc_vec=compose(Select.take(p1.r, np.tile(np.arange(p1.r), 2)),
-                        p1.enc_vec),
-        dec=HStack([p1.dec, p2.dec]),
-        active=np.concatenate([p1.active, p2.active]),
     )
 
 

@@ -25,7 +25,6 @@ from .structures import (
     MultilevelRep,
     SparseRep,
     SparsityPattern,
-    StructureError,
     StructuredMatrix,
     SymmetricRep,
     ToeplitzPlusHankelRep,
@@ -169,6 +168,9 @@ def load_json(path):
             return json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise FileFormatError(
+            f"{path}: invalid JSON (nested too deeply)") from None
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -241,22 +243,21 @@ def _parse_levels(spec: str):
 # shared evaluation helpers
 # ---------------------------------------------------------------------------
 
-def program_for(m: StructuredMatrix) -> bilinear.BilinearProgram:
-    if isinstance(m, MultilevelRep):
-        return multilevel.multilevel_program(m)
-    return kernels.single_level_program(m)
-
-
-def params_for(m: StructuredMatrix) -> np.ndarray:
-    if isinstance(m, MultilevelRep):
-        return multilevel.param_vector(m)
-    return kernels.single_level_params(m)
+def load_vector(path, m: StructuredMatrix) -> np.ndarray:
+    """The vector file at ``path``, checked against the order of ``m``."""
+    v = vector_from_obj(load_json(path))
+    if len(v) != order(m):
+        raise FileFormatError(
+            f"vector length {len(v)} does not match matrix order {order(m)}"
+        )
+    return v
 
 
 def apply_structured(m: StructuredMatrix, v, method: str):
     """Evaluate by the requested route; returns (result, count)."""
     if method == "program":
-        return bilinear.apply(program_for(m), params_for(m), v)
+        return bilinear.apply(multilevel.multilevel_program(m),
+                              multilevel.param_vector(m), v)
     if method == "direct":
         if isinstance(m, MultilevelRep):
             return multilevel.multilevel_matvec_direct(m, v)
@@ -298,11 +299,7 @@ def cmd_gen(args) -> int:
 
 def cmd_apply(args) -> int:
     m = matrix_from_obj(load_json(args.matrix))
-    v = vector_from_obj(load_json(args.vector))
-    if len(v) != order(m):
-        raise FileFormatError(
-            f"vector length {len(v)} does not match matrix order {order(m)}"
-        )
+    v = load_vector(args.vector, m)
     result, count = apply_structured(m, v, args.method)
     print(f"multiplications: {count}", file=sys.stderr)
     _write_payload(dumps(vector_to_obj(result)), args.output)
@@ -312,18 +309,15 @@ def cmd_apply(args) -> int:
 def cmd_verify(args) -> int:
     m = matrix_from_obj(load_json(args.matrix))
     if args.vector is not None:
-        v = vector_from_obj(load_json(args.vector))
-        if len(v) != order(m):
-            raise FileFormatError(
-                f"vector length {len(v)} does not match matrix order {order(m)}"
-            )
+        v = load_vector(args.vector, m)
     else:
         rng = np.random.default_rng(args.seed)
         v = _gaussian(rng, order(m))
     want = oracle.naive_matvec(oracle.dense(m), v)
     theoretical = param_dim(m)
     program = multilevel.prepare(m).program
-    prog_result, prog_count = bilinear.apply(program, params_for(m), v)
+    prog_result, prog_count = bilinear.apply(
+        program, multilevel.param_vector(m), v)
     direct_result, direct_count = apply_structured(m, v, "direct")
     report = bilinear.prune_check(program)
     err_prog = _rel_err(prog_result, want)
@@ -402,7 +396,7 @@ def cmd_bench(args) -> int:
         total = order(m)
         v = _gaussian(rng, total)
         program = multilevel.prepare(m).program
-        params = params_for(m)
+        params = multilevel.param_vector(m)
         methods = [
             ("structured-program", lambda: bilinear.apply(program, params, v),
              param_dim(m)),
@@ -536,10 +530,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileFormatError, StructureError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # FileFormatError and StructureError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

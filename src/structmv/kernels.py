@@ -31,9 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import bilinear
 from .bilinear import BilinearProgram, Prepared
-from .operators import Dense, Fourier, Select, VStack, compose
+from .operators import Dense, Fourier, HStack, Select, VStack, compose
 from .structures import (
     KINDS,
     CirculantRep,
@@ -136,11 +135,12 @@ def toeplitz_program(n: int) -> BilinearProgram:
 @lru_cache(maxsize=64)
 def hankel_program(n: int) -> BilinearProgram:
     """2n-1 multiplications: Toeplitz on reversed parameters, output reversed."""
-    return bilinear.conjugate_by(
-        toeplitz_program(n),
-        pre_param=_exchange(2 * n - 1),
-        pre_vec=None,
-        post=_exchange(n),
+    tp = toeplitz_program(n)
+    return BilinearProgram(
+        enc_param=compose(tp.enc_param, _exchange(2 * n - 1)),
+        enc_vec=tp.enc_vec,
+        dec=compose(_exchange(n), tp.dec),
+        active=tp.active,
     )
 
 
@@ -225,17 +225,15 @@ def tph_program(n: int) -> BilinearProgram:
                       np.concatenate([np.ones(m), np.full(m, sign)]))
         return compose(plus, both)
 
-    hpart = bilinear.conjugate_by(
-        hankel_program(n), shifted(m + rows, 1.0), None, None)
-    tpart = bilinear.conjugate_by(
-        toeplitz_program(n), shifted(rows, -1.0), None, None)
-    active = np.concatenate([hpart.active, tpart.active])
-    active[hpart.r + 1] = False  # frequency 1 of the Toeplitz branch
-    summed = bilinear.add(hpart, tpart)
+    tp, hp = toeplitz_program(n), hankel_program(n)
+    active = np.concatenate([hp.active, tp.active])
+    active[2 * n + 1] = False  # frequency 1 of the Toeplitz branch
     return BilinearProgram(
-        enc_param=summed.enc_param,
-        enc_vec=summed.enc_vec,
-        dec=summed.dec,
+        enc_param=VStack([compose(hp.enc_param, shifted(m + rows, 1.0)),
+                          compose(tp.enc_param, shifted(rows, -1.0))]),
+        enc_vec=compose(Select.take(2 * n, np.tile(np.arange(2 * n), 2)),
+                        tp.enc_vec),
+        dec=HStack([hp.dec, tp.dec]),
         active=active,
     )
 

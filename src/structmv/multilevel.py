@@ -5,7 +5,9 @@ composition of its levels' single-level programs, on the Kronecker product
 of their raw parameter vectors.  Its count is the product of the level
 counts, and its inactive slots are multiplied by the constant 0 on both
 routes.  The maps are :class:`~structmv.operators.Kron` operators, applied
-as one mode product per level with no Kronecker matrix formed.
+as one mode product per level with no Kronecker matrix formed.  A
+single-level matrix is a multilevel matrix of one level, so
+:func:`multilevel_program` and :func:`param_vector` serve every matrix.
 :func:`prepare` encodes the parameters once per matrix (see
 :class:`structmv.bilinear.Prepared`).
 """
@@ -27,16 +29,22 @@ def _kron_vectors(vectors) -> np.ndarray:
     return reduce(lambda a, b: np.outer(a, b).reshape(-1), vectors)
 
 
-def param_vector(m: MultilevelRep) -> np.ndarray:
+def _levels(m: StructuredMatrix) -> tuple:
+    """The levels of ``m``; a single-level matrix is its own only level."""
+    return m.levels if isinstance(m, MultilevelRep) else (m,)
+
+
+def param_vector(m: StructuredMatrix) -> np.ndarray:
     """Kronecker product of the levels' raw parameter vectors."""
     return _kron_vectors([kernels.single_level_params(level)
-                          for level in m.levels])
+                          for level in _levels(m)])
 
 
-def multilevel_program(m: MultilevelRep) -> BilinearProgram:
-    """Tensor composition of the levels' single-level programs (left fold)."""
+def multilevel_program(m: StructuredMatrix) -> BilinearProgram:
+    """Tensor composition of the levels' single-level programs (left fold);
+    for a single-level matrix, its cached single-level program."""
     return reduce(bilinear.kron,
-                  [kernels.single_level_program(level) for level in m.levels])
+                  [kernels.single_level_program(level) for level in _levels(m)])
 
 
 def prepare(m: StructuredMatrix) -> bilinear.Prepared:

@@ -10,7 +10,9 @@ checks.  ``op @ x`` is ``op.apply(x)``.
 
 Use :func:`compose` and :func:`as_operator` to build operators: they
 flatten nested compositions, fuse neighbouring index maps into one, and
-keep an operator of at most SMALL_DENSE entries as its dense matrix.
+keep an operator of at most SMALL_DENSE entries as its dense matrix.  A
+bilinear program keeps each of its maps as :func:`stored` gives it, which
+also keeps a small index map other than a gather as its dense matrix.
 """
 
 from __future__ import annotations
@@ -278,6 +280,18 @@ def as_operator(x) -> Operator:
     if isinstance(x, Compose) and max(map(_entries, x.ops)) > SMALL_DENSE:
         return x
     return Dense(x.to_dense())
+
+
+def stored(x) -> Operator:
+    """The operator a bilinear program keeps for the map ``x``:
+    :func:`as_operator`, except that a small index map other than a gather
+    becomes its dense matrix, since one small product beats a segmented
+    sum."""
+    op = as_operator(x)
+    if (isinstance(op, Select) and not op.is_gather
+            and _entries(op) <= SMALL_DENSE):
+        return Dense(op.to_dense())
+    return op
 
 
 def compose(*ops) -> Operator:

@@ -77,39 +77,7 @@ def test_kron_matches_dense_kronecker_oracle():
         assert rel_err(got, want) < 1e-9
 
 
-def test_conjugate_by_identity_is_noop():
-    p = kernels.circulant_program(3)
-    q = bilinear.conjugate_by(p, np.eye(3), np.eye(3), np.eye(3))
-    np.testing.assert_array_equal(q.enc_param.to_dense(), p.enc_param.to_dense())
-    np.testing.assert_array_equal(q.enc_vec.to_dense(), p.enc_vec.to_dense())
-    np.testing.assert_array_equal(q.dec.to_dense(), p.dec.to_dense())
-    assert q.count == p.count
-
-
-def test_conjugate_by_realizes_hankel_from_toeplitz():
-    # reverse parameters in, reverse coordinates out
-    rng = np.random.default_rng(8)
-    for n in range(1, 9):
-        p = bilinear.conjugate_by(
-            kernels.toeplitz_program(n),
-            pre_param=np.eye(2 * n - 1)[::-1],
-            pre_vec=np.eye(n),
-            post=np.eye(n)[::-1],
-        )
-        h = gaussian(rng, 2 * n - 1)
-        v = gaussian(rng, n)
-        got, count = bilinear.apply(p, h, v)
-        want = oracle.naive_matvec(oracle.dense(sm.HankelRep(n, h)), v)
-        assert rel_err(got, want) < 1e-9
-        assert count == 2 * n - 1
-
-
-def test_conjugate_by_shape_mismatch():
-    with pytest.raises(ValueError):
-        bilinear.conjugate_by(IDENTITY, np.eye(2), np.eye(1), np.eye(1))
-
-
-def test_add_transforms_a_shared_vector_once(monkeypatch):
+def test_tph_program_transforms_a_shared_vector_once(monkeypatch):
     # the two Toeplitz-plus-Hankel branches share their vector encoder, so
     # both routes take one forward transform of the padded vector
     n = 64
@@ -132,17 +100,6 @@ def test_add_transforms_a_shared_vector_once(monkeypatch):
     assert rel_err(got, oracle.dense(m) @ v) < 1e-9
     assert rel_err(direct, got) < 1e-12
     assert count == dcount == 4 * n - 3
-
-
-def test_add_needs_a_shared_vector_encoder():
-    other = BilinearProgram(
-        enc_param=[[1.0]], enc_vec=[[1.0]], dec=[[1.0]], active=[True]
-    )
-    with pytest.raises(ValueError, match="vector encoder"):
-        bilinear.add(IDENTITY, other)
-    out, count = bilinear.apply(bilinear.add(IDENTITY, IDENTITY), [3.0], [5.0])
-    np.testing.assert_allclose(out, [30.0])
-    assert count == 2
 
 
 def test_prune_check_reports():

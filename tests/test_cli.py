@@ -375,6 +375,25 @@ def test_json_booleans_are_not_numbers(tmp_path, matrix, vector):
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("deep", ["matrix", "vector"])
+def test_deeply_nested_json_exits_2(tmp_path, deep):
+    mat = _write(tmp_path, "m.json",
+                 {"structure": "circulant", "n": 1, "param": _ONE})
+    vec = _write(tmp_path, "v.json", {"n": 1, "v": _ONE})
+    if deep == "matrix":
+        mat = str(tmp_path / "deep.json")
+        Path(mat).write_text("[" * 100_000)
+    else:
+        vec = str(tmp_path / "deep.json")
+        Path(vec).write_text('{"n": 1, "v": ' + "[" * 5000 + "]" * 5000 + "}")
+    for args in (["apply", mat, vec], ["verify", mat, vec]):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.strip().splitlines() == [
+            f"error: {tmp_path / 'deep.json'}: invalid JSON (nested too deeply)"]
+
+
 @pytest.mark.parametrize("args", [
     ["gen", "--structure", "sparse", "--n", "4", "--density", "7"],
     ["gen", "--structure", "sparse", "--n", "4", "--density", "0"],

@@ -489,7 +489,8 @@ def test_prepared_inactive_slots_hold_the_constant_zero(structure):
         assert count == prepared.program.count == sm.param_dim(m)
 
 
-@pytest.mark.parametrize("structure", ("circulant", "symmetric", "sparse"))
+@pytest.mark.parametrize("structure",
+                         ("circulant", "toeplitz", "symmetric", "sparse"))
 def test_program_and_direct_routes_agree_bit_for_bit(structure):
     # one program, one encoding of its parameters and one slot stage
     rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 100)

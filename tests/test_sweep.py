@@ -21,8 +21,8 @@ def _dense_prune(program):
 
 def _cross_check(m, rng):
     v = gaussian(rng, sm.order(m))
-    program = cli.program_for(m)
-    got, count = bilinear.apply(program, cli.params_for(m), v)
+    program = multilevel.multilevel_program(m)
+    got, count = bilinear.apply(program, multilevel.param_vector(m), v)
     direct, dcount = cli.apply_structured(m, v, "direct")
     assert rel_err(got, direct) < 1e-12
     assert rel_err(got, oracle.dense(m) @ v) < 1e-9

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import structmv as sm
-from structmv import cli, kernels
+from structmv import cli, kernels, multilevel
 from structmv.structures import symmetric_pack_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -79,8 +79,8 @@ def check_prepared_block(m, block):
     assert rel_err(got, sm.dense(m) @ block) < 1e-9
     columns = [cli.apply_structured(m, block[:, t], "direct") for t in range(k)]
     assert rel_err(got, np.stack([y for y, _ in columns], axis=1)) < 1e-12
-    program_block, program_count = sm.apply(cli.program_for(m),
-                                             cli.params_for(m), block)
+    program_block, program_count = sm.apply(multilevel.multilevel_program(m),
+                                             multilevel.param_vector(m), block)
     assert rel_err(got, program_block) < 1e-12
     assert all(c == sm.param_dim(m) for _, c in columns)
     assert count == program_count == k * sm.param_dim(m)
