@@ -164,10 +164,13 @@ def _reject_constant(name):
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            f"{path}: invalid JSON (not UTF-8: {exc})") from None
     except RecursionError:
         raise FileFormatError(
             f"{path}: invalid JSON (nested too deeply)") from None
@@ -300,7 +303,11 @@ def cmd_gen(args) -> int:
 def cmd_apply(args) -> int:
     m = matrix_from_obj(load_json(args.matrix))
     v = load_vector(args.vector, m)
-    result, count = apply_structured(m, v, args.method)
+    # finite inputs can overflow; the check below reports it in one line
+    with np.errstate(all="ignore"):
+        result, count = apply_structured(m, v, args.method)
+    if not np.all(np.isfinite(result)):
+        raise ValueError("product is not finite")
     print(f"multiplications: {count}", file=sys.stderr)
     _write_payload(dumps(vector_to_obj(result)), args.output)
     return 0
@@ -313,15 +320,17 @@ def cmd_verify(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         v = _gaussian(rng, order(m))
-    want = oracle.naive_matvec(oracle.dense(m), v)
     theoretical = param_dim(m)
-    program = multilevel.prepare(m).program
-    prog_result, prog_count = bilinear.apply(
-        program, multilevel.param_vector(m), v)
-    direct_result, direct_count = apply_structured(m, v, "direct")
+    # an overflow shows as a non-finite error, which fails the check
+    with np.errstate(all="ignore"):
+        program = multilevel.prepare(m).program
+        want = oracle.naive_matvec(oracle.dense(m), v)
+        prog_result, prog_count = bilinear.apply(
+            program, multilevel.param_vector(m), v)
+        direct_result, direct_count = apply_structured(m, v, "direct")
+        err_prog = _rel_err(prog_result, want)
+        err_direct = _rel_err(direct_result, want)
     report = bilinear.prune_check(program)
-    err_prog = _rel_err(prog_result, want)
-    err_direct = _rel_err(direct_result, want)
     ok = (
         err_prog <= args.tol
         and err_direct <= args.tol
@@ -447,6 +456,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _density(text: str) -> float:
     value = float(text)  # argparse reports a ValueError as an invalid value
     if not 0 < value <= 1:
@@ -480,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--levels", help="multilevel spec, e.g. circulant:2,toeplitz:3")
     gen.add_argument("--density", type=_density, default=0.25,
                      help="sparse support density (default 0.25)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("-o", "--output", help="output path (default stdout)")
     gen.set_defaults(fn=cmd_gen)
 
@@ -496,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("matrix")
     ver.add_argument("vector", nargs="?", help="vector file (default: "
                                                "generated from --seed)")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--tol", type=_tolerance, default=1e-9)
     ver.set_defaults(fn=cmd_verify)
 
@@ -508,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="first order (default 1)")
     cnt.add_argument("--n-max", type=_positive_int, help="last order (default --n)")
     cnt.add_argument("--density", type=_density, default=0.25)
-    cnt.add_argument("--seed", type=int, default=0)
+    cnt.add_argument("--seed", type=_seed, default=0)
     cnt.set_defaults(fn=cmd_count)
 
     ben = sub.add_parser("bench", help="time both methods, write CSV")
@@ -519,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--reps", type=_positive_int, default=5)
     ben.add_argument("--csv", help="output path (default stdout)")
     ben.add_argument("--density", type=_density, default=0.25)
-    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--seed", type=_seed, default=0)
     ben.set_defaults(fn=cmd_bench)
 
     return parser

@@ -412,6 +412,62 @@ def test_out_of_range_arguments_exit_2(tmp_path, args):
     assert "error:" in r.stderr.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize("command", ["gen", "verify", "count", "bench"])
+def test_negative_seed_exits_2_naming_the_option(tmp_path, command):
+    mat = _write(tmp_path, "c.json",
+                 {"structure": "circulant", "n": 1, "param": _ONE})
+    args = {"gen": ["gen", "--structure", "vector", "--n", "2"],
+            "verify": ["verify", mat],
+            "count": ["count", "--structure", "sparse"],
+            "bench": ["bench", "--n-max", "4"]}[command]
+    r = run_cli(args + ["--seed", "-1"], tmp_path)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert "--seed" in r.stderr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("bad", ["matrix", "vector"])
+def test_file_that_is_not_utf8_names_its_path(tmp_path, bad):
+    mat = _write(tmp_path, "m.json",
+                 {"structure": "circulant", "n": 1, "param": _ONE})
+    vec = _write(tmp_path, "v.json", {"n": 1, "v": _ONE})
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"n": 1, "v": [[1, 0]], "note": "\xff"}')
+    if bad == "matrix":
+        mat = str(latin)
+    else:
+        vec = str(latin)
+    for args in (["apply", mat, vec], ["verify", mat, vec]):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 2 and r.stdout == ""
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {latin}: invalid JSON (not UTF-8: ")
+
+
+def _overflowing_circulant(tmp_path):
+    mat = _write(tmp_path, "m.json", {"structure": "circulant", "n": 2,
+                                      "param": [[1e308, 0], [1e308, 0]]})
+    return mat, _vector_file(tmp_path, "v.json", [1.0, 1.0])
+
+
+@pytest.mark.parametrize("method", ["program", "direct"])
+def test_apply_overflow_exits_2(tmp_path, method):
+    mat, vec = _overflowing_circulant(tmp_path)
+    r = run_cli(["apply", mat, vec, "--method", method], tmp_path)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.strip().splitlines() == ["error: product is not finite"]
+
+
+def test_verify_overflow_fails_without_warnings(tmp_path):
+    mat, vec = _overflowing_circulant(tmp_path)
+    for args in (["verify", mat, vec], ["verify", mat]):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 1, r.stdout + r.stderr
+        assert r.stdout.strip().splitlines()[-1] == "FAIL"
+        assert r.stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # file round trips
 # ---------------------------------------------------------------------------

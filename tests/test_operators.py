@@ -54,6 +54,56 @@ def test_select_kinds_apply():
         _check(op, rng)
 
 
+def _random_select(rng, m, n, sizes, unit):
+    """An (m, n) index map whose row i holds sizes[i] entries (at most n)."""
+    sizes = np.minimum(sizes, n)
+    rows = np.repeat(np.arange(m), sizes)
+    cols = np.concatenate([np.sort(rng.choice(n, k, replace=False))
+                           for k in sizes] + [np.zeros(0, dtype=int)])
+    vals = None if unit else rng.choice([-1.0, -0.5, 0.5, 1.0], len(rows))
+    return Select((m, n), rows, cols, vals)
+
+
+@pytest.mark.parametrize("mix", ["all short", "mostly short", "mostly long"])
+def test_select_rows_of_any_length_match_to_dense(mix):
+    """Rows of 0, 1, 2 and more entries, in maps that apply by two gathers
+    and by one segmented sum, on inputs with and without batch axes."""
+    rng = np.random.default_rng(7)
+    p = {"all short": [0, 0.5, 0.5, 0, 0],
+         "mostly short": [0.1, 0.3, 0.35, 0.15, 0.1],
+         "mostly long": [0.1, 0.1, 0.1, 0.3, 0.4]}[mix]
+    for trial in range(30):
+        m, n = rng.integers(1, 40, size=2)
+        sizes = rng.choice([0, 1, 2, 3, 6], size=m, p=p)
+        op = _random_select(rng, m, n, sizes, unit=trial % 2 == 0)
+        d = op.to_dense()
+        for batch in [(), (3,), (2, 4)]:
+            x = gaussian(rng, (n,) + batch)
+            out = op.apply(x)
+            assert out.shape == (m,) + batch
+            assert rel_err(out, np.tensordot(d, x, axes=1)) < 1e-12
+    real = Select((3, 4), [0, 0, 1, 2], [1, 2, 3, 0], [1.0, -1.0, 0.5, 2.0])
+    np.testing.assert_array_equal(real.apply(np.arange(4)), [-1.0, 1.5, 0.0])
+
+
+def test_symmetric_vector_encoder_needs_no_segmented_sum(monkeypatch):
+    """Every row of the pair map holds one or two entries, so it applies as
+    two gathers and never reaches np.add.reduceat."""
+    from structmv.kernels import symmetric_program
+    op = symmetric_program(64).enc_vec
+    assert isinstance(op, Select)
+
+    class NoReduceat:
+        def reduceat(self, *args, **kwargs):
+            raise AssertionError("np.add.reduceat was called")
+
+    rng = np.random.default_rng(8)
+    x = gaussian(rng, (64, 2))
+    want = op.to_dense() @ x
+    monkeypatch.setattr(np, "add", NoReduceat())
+    assert rel_err(op.apply(x), want) < 1e-12
+
+
 def test_select_fusion_is_the_product():
     rng = np.random.default_rng(2)
     for _ in range(20):
