@@ -12,13 +12,17 @@ vector or on a block of vectors along a trailing axis.
 The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
 into a circulant of twice the order with the free first-row entry chosen as
 minus the parameter sum, which zeroes the frequency-0 slot and saves one
-multiplication.  Hankel reduces to Toeplitz by reversing parameters and
-output.  Symmetric forms one product per entry pair, a_ij (v_i + v_j), and
-one per diagonal entry, (a_ii - sum_{j != i} a_ij) v_i, with index maps
-only.  Toeplitz-plus-Hankel shifts a multiple of the all-ones matrix between
-its two components so that the Toeplitz part's frequency-1 slot vanishes as
-well, saving a second multiplication; the shift is part of the program, so
-a multilevel level runs it on its raw 4n-2 parameters too.  Sparse is the
+multiplication; its vector encoder and decoder are single order-2n
+transforms windowed to n columns and n rows.  Hankel reduces to Toeplitz by
+reversing parameters and output.  Symmetric forms one product per entry
+pair, a_ij (v_i + v_j), and one per diagonal entry,
+(a_ii - sum_{j != i} a_ij) v_i, with index maps only.  Toeplitz-plus-Hankel
+shifts a multiple of the all-ones matrix between its two components so that
+the Toeplitz part's frequency-1 slot vanishes as well, saving a second
+multiplication; the shift is part of the program, so a multilevel level
+runs it on its raw 4n-2 parameters too.  Its Hankel branch moves the output
+reversal onto its frequency slots (the FFT flip identity), so both branches
+share one forward and one inverse transform.  Sparse is the
 usual support-driven matvec, as one gather, one multiply and one segmented
 sum.  Whether a map applies as a small dense matrix, an index map or
 ``np.fft`` is the operators' one rule, the same on both routes.
@@ -32,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bilinear import BilinearProgram, Prepared
-from .operators import Dense, Fourier, HStack, Select, VStack, compose
+from .operators import Dense, Fourier, Select, VStack, compose
 from .structures import (
     KINDS,
     CirculantRep,
@@ -117,17 +121,17 @@ def toeplitz_program(n: int) -> BilinearProgram:
     """2n-1 multiplications via the order-2n circulant embedding.
 
     The slots are the 2n circulant frequencies; frequency 0 is inactive
-    because the embedded first row sums to zero identically.  The vector
-    is zero-padded to 2n and the first n outputs are kept.
+    because the embedded first row sums to zero identically.  Each map is
+    one order-2n transform: the parameter encoder transforms the embedded
+    first row, the vector encoder is windowed to n columns, which
+    zero-pads the vector, and the decoder to its first n rows.
     """
-    cp = circulant_program(2 * n)
-    first_n = Select.take(2 * n, np.arange(n))
     active = np.ones(2 * n, dtype=bool)
     active[0] = False
     return BilinearProgram(
-        enc_param=compose(cp.enc_param, toeplitz_embedding(n).op),
-        enc_vec=compose(cp.enc_vec, first_n.T),
-        dec=compose(first_n, cp.dec),
+        enc_param=compose(Fourier(2 * n), toeplitz_embedding(n).op),
+        enc_vec=Fourier(2 * n, conj=True, cols=n),
+        dec=Fourier(2 * n, scale=1 / (2 * n), rows=n),
         active=active,
     )
 
@@ -204,16 +208,45 @@ def tph_alpha(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def fft_flip(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The FFT flip identity of order 2n, as (index, twiddle).
+
+    With w = exp(i*pi/n), W the order-2n Fourier matrix, F_n its first n
+    rows, P the gather k -> -k mod 2n and D = diag(w^((n-1)k)), the
+    exchange J of order n satisfies J F_n W = F_n W P D: reversing the
+    output of a windowed inverse transform re-indexes its frequency slots.
+    ``index`` is P's gather, and ``twiddle[k]`` is w^(-(n-1)k), the entry
+    of D at -k, so (D c)[-k] is ``twiddle * c[index]``.
+    """
+    k = np.arange(2 * n)
+    index = -k % (2 * n)
+    twiddle = np.exp(-1j * np.pi * ((n - 1) * k % (2 * n)) / n)
+    index.setflags(write=False)
+    twiddle.setflags(write=False)
+    return index, twiddle
+
+
+@lru_cache(maxsize=64)
 def tph_program(n: int) -> BilinearProgram:
     """4n-3 multiplications on raw parameters (t_1..t_{2n-1}, h_1..h_{2n-1}).
 
     The program shifts a = alpha @ t of the all-ones matrix from the
-    Toeplitz to the Hankel component, then sums a Hankel program on h + a
-    and a Toeplitz program on t - a.  The Toeplitz branch has two inactive
+    Toeplitz to the Hankel component, then sums a Hankel product on h + a
+    and a Toeplitz product on t - a.  The Toeplitz branch has two inactive
     slots: frequency 0 from its own embedding and frequency 1 from the
     shift.
+
+    Both branches share the forward transform X of the padded vector and
+    the Toeplitz decoder, so a product takes one transform each way.  By
+    the flip identity (see :func:`fft_flip`) the reversed Toeplitz product
+    J F_n W (s * X) is F_n W ((P D s) * (P X)), and P D W = W Q with Q the
+    gather q -> (n+1-q) mod 2n.  So the Hankel slots read X at -k, their
+    coefficients are the transform of Q, the embedding and J applied to
+    h + a, and the decoder sums the two slot vectors before its one
+    windowed inverse transform.  P fixes slot 0, so the Hankel branch's
+    frequency-0 slot stays the inactive one.
     """
-    m = 2 * n - 1
+    m, k = 2 * n - 1, np.arange(2 * n)
     shift = Dense(np.concatenate([tph_alpha(n), np.zeros(m)])[None, :])
     rows = np.arange(m)
 
@@ -225,15 +258,28 @@ def tph_program(n: int) -> BilinearProgram:
                       np.concatenate([np.ones(m), np.full(m, sign)]))
         return compose(plus, both)
 
-    tp, hp = toeplitz_program(n), hankel_program(n)
-    active = np.concatenate([hp.active, tp.active])
+    # Q @ embedding @ J: the embedded first row of the reversed parameters
+    # at (n+1-q) mod 2n is h_{2n-1} at q = 0, the free entry -sum(h) at
+    # q = 1 and h_{q-1} at q >= 2 (1-indexed), listed in sorted order
+    hankel_row = Select(
+        (2 * n, m),
+        np.concatenate([[0], np.ones(m, dtype=np.intp), k[2:]]),
+        np.concatenate([[m - 1], rows, rows[:-1]]),
+        np.concatenate([[1.0], -np.ones(m), np.ones(m - 1)]))
+    tp = toeplitz_program(n)
+    active = np.concatenate([tp.active, tp.active])
     active[2 * n + 1] = False  # frequency 1 of the Toeplitz branch
+    # the Hankel slots read X[-k], the Toeplitz slots X[k]; [I I] sums
+    # slot k of each branch into row k
+    both_reads = Select.take(2 * n, np.concatenate([fft_flip(n)[0], k]))
+    both_sum = Select((2 * n, 4 * n), np.repeat(k, 2),
+                      np.stack([k, k + 2 * n], axis=1).reshape(-1))
     return BilinearProgram(
-        enc_param=VStack([compose(hp.enc_param, shifted(m + rows, 1.0)),
-                          compose(tp.enc_param, shifted(rows, -1.0))]),
-        enc_vec=compose(Select.take(2 * n, np.tile(np.arange(2 * n), 2)),
-                        tp.enc_vec),
-        dec=HStack([hp.dec, tp.dec]),
+        enc_param=VStack([
+            compose(Fourier(2 * n), hankel_row, shifted(m + rows, 1.0)),
+            compose(tp.enc_param, shifted(rows, -1.0))]),
+        enc_vec=compose(both_reads, tp.enc_vec),
+        dec=compose(tp.dec, both_sum),
         active=active,
     )
 
@@ -322,14 +368,19 @@ def _prepare_single(m: StructuredMatrix) -> Prepared:
     values of hankel_program's fused encoder with the embedding's free
     entry summed in the Toeplitz order, so a Hankel product is the reversed
     Toeplitz product bit for bit, and each Toeplitz-plus-Hankel branch
-    encodes only its own 2n-1 shifted parameters."""
+    encodes only its own 2n-1 shifted parameters.  The Toeplitz-plus-Hankel
+    Hankel slots c then move to the Toeplitz decoder by the flip identity,
+    as (D c)[-k] (see :func:`fft_flip`), with a gather and a product by
+    constants, not a transform."""
     program, param = single_level_program(m), single_level_params(m)
     if isinstance(m, HankelRep):
         slots = _toeplitz_slots(m.n, param[::-1])
     elif isinstance(m, ToeplitzPlusHankelRep):
         t, h = param[:2 * m.n - 1], param[2 * m.n - 1:]
         shift = tph_alpha(m.n) @ t
-        slots = np.concatenate([_toeplitz_slots(m.n, (h + shift)[::-1]),
+        index, twiddle = fft_flip(m.n)
+        hankel = _toeplitz_slots(m.n, (h + shift)[::-1])
+        slots = np.concatenate([twiddle * hankel[index],
                                 _toeplitz_slots(m.n, t - shift)])
     else:
         slots = program.enc_param @ param

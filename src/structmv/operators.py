@@ -1,12 +1,14 @@
 """Matrix-free linear maps for the three maps of a bilinear program.
 
 Every encoder and decoder the builders need is a Fourier transform, an
-index map (embedding, zero-pad, row selection, exchange, gather, scatter),
-a Kronecker product or a stack of these, so each is stored in that form
-and applied without forming its matrix.  Each operator has ``shape``
-(rows, columns), ``apply(x)`` acting on the first axis of ``x`` with any
-trailing batch axes, and ``to_dense()`` for tests and small reference
-checks.  ``op @ x`` is ``op.apply(x)``.
+index map (embedding, exchange, gather, scatter, sum of blocks), a
+Kronecker product or a vertical stack of these, so each is stored in that
+form and applied without forming its matrix.  A Fourier transform may be
+windowed to its first rows and first columns, which is how a vector is
+zero-padded before a transform and its first outputs kept after one.
+Each operator has ``shape`` (rows, columns), ``apply(x)`` acting on the
+first axis of ``x`` with any trailing batch axes, and ``to_dense()`` for
+tests and small reference checks.  ``op @ x`` is ``op.apply(x)``.
 
 Use :func:`compose` and :func:`as_operator` to build operators: they
 flatten nested compositions, fuse neighbouring index maps into one, and
@@ -54,25 +56,31 @@ class Operator:
 
 class Fourier(Operator):
     """``scale`` times the order-n Fourier matrix W[r, c] = exp(2*pi*i*r*c/n)
-    (see :mod:`structmv.transform`), or times its conjugate when ``conj``."""
+    (see :mod:`structmv.transform`), or times its conjugate when ``conj``,
+    restricted to its first ``rows`` rows and first ``cols`` columns (all
+    n by default).  The column window zero-pads the input to order n and
+    the row window keeps the first outputs, both for free: ``np.fft``'s
+    ``n=`` pads, and a slice of the leading axis is a view."""
 
-    def __init__(self, n: int, conj: bool = False, scale: float = 1.0):
+    def __init__(self, n: int, conj: bool = False, scale: float = 1.0,
+                 rows: int | None = None, cols: int | None = None):
         self.n, self.conj, self.scale = n, conj, scale
-        self.shape = (n, n)
+        self.shape = (n if rows is None else rows, n if cols is None else cols)
 
     def apply(self, x) -> np.ndarray:
         # numpy's fft has the negative exponent: conj(W) @ x is fft(x), and
         # W @ x is the unnormalized inverse transform
         if self.conj:
-            out = np.fft.fft(x, axis=0)
+            out = np.fft.fft(x, n=self.n, axis=0)
         else:
-            out = np.fft.ifft(x, axis=0, norm="forward")
+            out = np.fft.ifft(x, n=self.n, axis=0, norm="forward")
+        out = out[:self.shape[0]]
         if self.scale != 1.0:
             out *= self.scale
         return out
 
     def to_dense(self) -> np.ndarray:
-        w = fourier_matrix(self.n)
+        w = fourier_matrix(self.n)[:self.shape[0], :self.shape[1]]
         return (np.conj(w) if self.conj else w) * self.scale
 
 
@@ -333,26 +341,6 @@ class VStack(Operator):
 
     def to_dense(self) -> np.ndarray:
         return np.vstack([op.to_dense() for op in self.ops])
-
-
-class HStack(Operator):
-    """Operators on consecutive blocks of one input, their outputs summed."""
-
-    def __init__(self, ops):
-        self.ops = _flatten(HStack, ops)
-        self.shape = (self.ops[0].shape[0], sum(op.shape[1] for op in self.ops))
-        self._ends = np.cumsum([op.shape[1] for op in self.ops])
-
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        out, start = 0, 0
-        for op, end in zip(self.ops, self._ends):
-            out = out + op.apply(x[start:end])
-            start = end
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        return np.hstack([op.to_dense() for op in self.ops])
 
 
 def _flatten(kind, ops) -> tuple:

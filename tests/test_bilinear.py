@@ -78,25 +78,34 @@ def test_kron_matches_dense_kronecker_oracle():
 
 
 def test_tph_program_transforms_a_shared_vector_once(monkeypatch):
-    # the two Toeplitz-plus-Hankel branches share their vector encoder, so
-    # both routes take one forward transform of the padded vector
+    # the two Toeplitz-plus-Hankel branches share their vector encoder and
+    # their decoder, so each route takes one forward transform of the
+    # padded vector, and a direct product one inverse transform; the
+    # program route adds one inverse transform per branch to encode the
+    # parameters
     n = 64
     rng = np.random.default_rng(9)
     m = sm.ToeplitzPlusHankelRep(sm.ToeplitzRep(n, gaussian(rng, 2 * n - 1)),
                                  sm.HankelRep(n, gaussian(rng, 2 * n - 1)))
     v = gaussian(rng, n)
     sm.prepare(m)  # encode the parameters before counting transforms
-    calls, real = [], np.fft.fft
+    calls = {"fft": 0, "ifft": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "fft", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
+    direct, dcount = kernels.direct_matvec(m, v)
+    assert calls == {"fft": 1, "ifft": 1}
     program = kernels.tph_program(n)
     got, count = bilinear.apply(program, kernels.single_level_params(m), v)
-    direct, dcount = kernels.direct_matvec(m, v)
-    assert len(calls) == 2
+    assert calls == {"fft": 2, "ifft": 4}
     assert rel_err(got, oracle.dense(m) @ v) < 1e-9
     assert rel_err(direct, got) < 1e-12
     assert count == dcount == 4 * n - 3

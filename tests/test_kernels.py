@@ -59,6 +59,34 @@ def test_toeplitz_count_is_2n_minus_1():
         assert kernels.toeplitz_program(n).count == 2 * n - 1
 
 
+def test_toeplitz_vector_maps_are_single_windowed_transforms():
+    # the zero-pad and the first-n selection are the transforms' windows
+    program = kernels.toeplitz_program(64)
+    for op, window in [(program.enc_vec, (128, 64)), (program.dec, (64, 128))]:
+        assert type(op) is operators.Fourier
+        assert op.n == 128 and op.shape == window
+
+
+def test_fft_flip_identity():
+    # J F_n W = F_n W P D, and P D W = W Q with Q the gather q -> (n+1-q)
+    # mod 2n; Q, the embedding and J form tph_program's Hankel index map
+    for n in (1, 2, 3, 4, 7, 16):
+        w = transform.fourier_matrix(2 * n)
+        index, twiddle = kernels.fft_flip(n)
+        p = np.eye(2 * n)[index]
+        d = np.diag(twiddle[index])
+        np.testing.assert_allclose(w[:n][::-1], w[:n] @ p @ d, atol=1e-12)
+        q = np.eye(2 * n)[(n + 1 - np.arange(2 * n)) % (2 * n)]
+        np.testing.assert_allclose(p @ d @ w, w @ q, atol=1e-12)
+        emb = kernels.toeplitz_embedding(n).matrix
+        hankel = kernels.tph_program(n).enc_param.to_dense()[:2 * n]
+        m = 2 * n - 1
+        alpha = np.concatenate([kernels.tph_alpha(n), np.zeros(m)])
+        shifted = np.hstack([np.zeros((m, m)), np.eye(m)]) + alpha
+        np.testing.assert_allclose(
+            hankel, w @ q @ emb[:, ::-1] @ shifted, atol=1e-12)
+
+
 def test_embed_applies_embedding_matrix():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 8, 31):

@@ -1,4 +1,7 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -7,7 +10,9 @@ import pytest
 
 import structmv as sm
 from structmv import bilinear, kernels, multilevel, oracle
-from util import SINGLE_LEVEL, check_prepared_block, gaussian, random_instance, rel_err
+from util import (
+    SINGLE_LEVEL, SRC, check_prepared_block, gaussian, random_instance, rel_err,
+)
 
 
 def _bccb(a, b, c, d):
@@ -395,3 +400,44 @@ def test_direct_product_frees_its_levels():
     del m
     gc.collect()
     assert ref() is None
+
+
+_SMALL_LEVELS = """
+import sys
+
+import numpy as np
+
+import structmv as sm
+from structmv import multilevel
+
+rng = np.random.default_rng(0)
+
+
+def t(n):
+    return sm.ToeplitzRep(n, rng.standard_normal(2 * n - 1))
+
+
+def h(n):
+    return sm.HankelRep(n, rng.standard_normal(2 * n - 1))
+
+
+for levels in [(sm.ToeplitzPlusHankelRep(t(8), h(8)), t(8)),
+               (t(16), sm.CirculantRep(16, rng.standard_normal(16)), h(4))]:
+    m = sm.MultilevelRep(levels)
+    v = rng.standard_normal(sm.order(m))
+    program = sm.apply(multilevel.multilevel_program(m),
+                       multilevel.param_vector(m), v)[0]
+    direct = sm.multilevel_matvec_direct(m, v)[0]
+    assert np.abs(program - direct).max() <= 1e-12 * np.abs(direct).max()
+assert "numpy.fft" not in sys.modules, "numpy.fft was imported"
+"""
+
+
+def test_small_levels_never_import_numpy_fft():
+    # every map of these levels is a small dense matrix, so building,
+    # preparing and applying them must not load numpy.fft, which numpy
+    # imports lazily at a cost of about 2 ms
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _SMALL_LEVELS], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -6,7 +6,7 @@ import pytest
 
 import structmv
 from structmv.operators import (
-    Compose, Dense, Fourier, HStack, Kron, Select, VStack, as_operator, compose,
+    Compose, Dense, Fourier, Kron, Select, VStack, as_operator, compose,
 )
 from structmv.transform import fourier_matrix
 from util import gaussian, rel_err
@@ -33,6 +33,16 @@ def test_fourier_matches_fourier_matrix(n):
         want = (np.conj(w) if conj else w) * scale
         np.testing.assert_array_equal(op.to_dense(), want)
         _check(op, rng)
+        # windowed to the first rows, the first columns, or both
+        for rows, cols in [(max(n // 2, 1), None), (None, (n + 1) // 2),
+                           (max(n - 1, 1), (n + 2) // 3)]:
+            op = Fourier(n, conj=conj, scale=scale, rows=rows, cols=cols)
+            block = want[:rows, :cols]
+            assert op.shape == block.shape
+            np.testing.assert_array_equal(op.to_dense(), block)
+            _check(op, rng)
+    windowed = Fourier(n, conj=True, rows=max(n - 1, 1), cols=(n + 1) // 2)
+    _check(Kron([Select.take(3, [2, 0]), windowed, Fourier(2)]), rng)
 
 
 def test_select_sums_duplicates_and_drops_zeros():
@@ -169,7 +179,6 @@ def test_stacks():
     rng = np.random.default_rng(5)
     a, b = Fourier(4), Dense(gaussian(rng, (2, 4)))
     _check(VStack([a, b]), rng)
-    _check(HStack([Select.take(3, [0, 2]).T, Dense(gaussian(rng, (3, 5)))]), rng)
 
 
 def test_as_operator_keeps_operators_and_wraps_arrays():
