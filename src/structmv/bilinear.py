@@ -13,7 +13,8 @@ The three maps are operators (:mod:`structmv.operators`): Fourier
 transforms, index maps, and their compositions, Kronecker products and
 stacks, with no matrix formed beyond ``operators.SMALL_DENSE`` entries.
 Arrays passed in are kept as dense matrices.  The one combinator here,
-:func:`kron`, nests two programs by Kronecker products of their maps.
+:func:`kron`, composes any number of programs by one Kronecker product of
+their maps per map.
 
 Slots whose parameter-side row is identically zero are marked inactive by
 the builder.  Their coefficient is set to exactly 0, and multiplying by the
@@ -26,6 +27,7 @@ numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -178,17 +180,23 @@ def apply(program: BilinearProgram, a, v) -> tuple[np.ndarray, int]:
     return _decode(program, slot_products(program, coef, v))
 
 
-def kron(p1: BilinearProgram, p2: BilinearProgram) -> BilinearProgram:
-    """Tensor-product composition of two programs.
+def kron(*programs: BilinearProgram) -> BilinearProgram:
+    """Tensor-product composition of one or more programs.
 
     The composed program evaluates the Kronecker-factored bilinear map on
-    outer-product parameters; its count is exactly count(p1) * count(p2).
+    outer-product parameters; its count is exactly the product of the
+    counts.  Each map is one :class:`~structmv.operators.Kron` of the
+    programs' maps, so the small-map rule of
+    :func:`~structmv.operators.stored` judges the whole map, never a
+    partial product.  ``kron(p)`` is ``p``.
     """
+    if len(programs) == 1:
+        return programs[0]
     return BilinearProgram(
-        enc_param=Kron([p1.enc_param, p2.enc_param]),
-        enc_vec=Kron([p1.enc_vec, p2.enc_vec]),
-        dec=Kron([p1.dec, p2.dec]),
-        active=np.kron(p1.active, p2.active).astype(bool),
+        enc_param=Kron([p.enc_param for p in programs]),
+        enc_vec=Kron([p.enc_vec for p in programs]),
+        dec=Kron([p.dec for p in programs]),
+        active=reduce(np.kron, [p.active for p in programs]).astype(bool),
     )
 
 

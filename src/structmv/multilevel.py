@@ -4,8 +4,9 @@ A multilevel matrix runs one program on one parameter vector: the tensor
 composition of its levels' single-level programs, on the Kronecker product
 of their raw parameter vectors.  Its count is the product of the level
 counts, and its inactive slots are multiplied by the constant 0 on both
-routes.  The maps are :class:`~structmv.operators.Kron` operators, applied
-as one mode product per level with no Kronecker matrix formed.  A
+routes.  Each map is one :class:`~structmv.operators.Kron` operator with a
+factor per level, applied as one mode product per level with no Kronecker
+matrix formed, unless the whole map is small enough to keep dense.  A
 single-level matrix is a multilevel matrix of one level, so
 :func:`multilevel_program` and :func:`param_vector` serve every matrix.
 :func:`prepare` encodes the parameters once per matrix (see
@@ -41,10 +42,11 @@ def param_vector(m: StructuredMatrix) -> np.ndarray:
 
 
 def multilevel_program(m: StructuredMatrix) -> BilinearProgram:
-    """Tensor composition of the levels' single-level programs (left fold);
-    for a single-level matrix, its cached single-level program."""
-    return reduce(bilinear.kron,
-                  [kernels.single_level_program(level) for level in _levels(m)])
+    """Tensor composition of the levels' single-level programs, one
+    :func:`bilinear.kron` of all of them; for a single-level matrix, its
+    cached single-level program."""
+    return bilinear.kron(*[kernels.single_level_program(level)
+                           for level in _levels(m)])
 
 
 def prepare(m: StructuredMatrix) -> bilinear.Prepared:

@@ -8,7 +8,9 @@ windowed to its first rows and first columns, which is how a vector is
 zero-padded before a transform and its first outputs kept after one.
 Each operator has ``shape`` (rows, columns), ``apply(x)`` acting on the
 first axis of ``x`` with any trailing batch axes, and ``to_dense()`` for
-tests and small reference checks.  ``op @ x`` is ``op.apply(x)``.
+tests and small reference checks.  ``op @ x`` is ``op.apply(x)``.  A
+Kronecker product applies one mode product per factor, and a dense
+factor's product is laid out for the next factor with no copy between.
 
 Use :func:`compose` and :func:`as_operator` to build operators: they
 flatten nested compositions, fuse neighbouring index maps into one, and
@@ -306,7 +308,11 @@ class Kron(Operator):
     factor (row-major, as ``np.kron`` orders its indices).
 
     Each factor acts on the leading axis of a 2-D array and the result is
-    transposed, which rotates the next factor's axis to the front.
+    transposed, which rotates the next factor's axis to the front.  A
+    :class:`Dense` factor forms that transpose directly, as
+    ``u.T @ matrix.T``: the product reads both transposed views without a
+    copy and leaves a row-major array that the next factor reshapes as a
+    view.  Any other factor's transposed result is copied by that reshape.
     """
 
     def __init__(self, factors):
@@ -321,7 +327,8 @@ class Kron(Operator):
             return np.zeros((self.shape[0],) + batch, dtype=complex)
         t = x
         for f in self.factors:
-            t = f.apply(t.reshape(f.shape[1], -1)).T
+            u = t.reshape(f.shape[1], -1)
+            t = u.T @ f.matrix.T if isinstance(f, Dense) else f.apply(u).T
         # t is now (batch, rows) in row-major order
         return t.reshape(-1, self.shape[0]).T.reshape(self.shape[0], *batch)
 

@@ -77,6 +77,20 @@ def test_kron_matches_dense_kronecker_oracle():
         assert rel_err(got, want) < 1e-9
 
 
+def test_kron_of_three_programs_equals_the_left_fold():
+    p1, p2, p3 = (kernels.circulant_program(3), kernels.toeplitz_program(4),
+                  kernels.hankel_program(2))
+    p = bilinear.kron(p1, p2, p3)
+    fold = bilinear.kron(bilinear.kron(p1, p2), p3)
+    for name in ("enc_param", "enc_vec", "dec"):
+        np.testing.assert_allclose(getattr(p, name).to_dense(),
+                                   getattr(fold, name).to_dense(),
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(p.active, fold.active)
+    assert p.count == fold.count == p1.count * p2.count * p3.count
+    assert bilinear.kron(p1) is p1
+
+
 def test_tph_program_transforms_a_shared_vector_once(monkeypatch):
     # the two Toeplitz-plus-Hankel branches share their vector encoder and
     # their decoder, so each route takes one forward transform of the

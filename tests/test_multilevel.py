@@ -10,6 +10,7 @@ import pytest
 
 import structmv as sm
 from structmv import bilinear, kernels, multilevel, oracle
+from structmv.operators import Dense, Kron
 from util import (
     SINGLE_LEVEL, SRC, check_prepared_block, gaussian, random_instance, rel_err,
 )
@@ -335,6 +336,22 @@ def test_direct_tail_stays_matrix_free():
                                   multilevel.param_vector(m), v)
     assert rel_err(got, want) < 1e-12
     assert count == wcount == sm.param_dim(m)
+
+
+def test_each_map_is_one_kron_with_a_factor_per_level():
+    rng = np.random.default_rng(15)
+    m = sm.MultilevelRep(tuple(random_instance("circulant", n, rng)
+                               for n in (8, 8, 8, 2)))
+    program = multilevel.multilevel_program(m)
+    for op in (program.enc_param, program.enc_vec, program.dec):
+        # no product of some of the levels is kept as one dense factor
+        assert isinstance(op, Kron) and len(op.factors) == 4
+        assert max(f.shape[0] * f.shape[1] for f in op.factors) <= 64
+    # a whole map of at most SMALL_DENSE entries stays dense
+    small = multilevel.multilevel_program(sm.MultilevelRep(
+        tuple(random_instance("circulant", 4, rng) for _ in range(2))))
+    for op in (small.enc_param, small.enc_vec, small.dec):
+        assert isinstance(op, Dense)
 
 
 @pytest.mark.parametrize("head", SINGLE_LEVEL)

@@ -158,15 +158,32 @@ def test_small_operators_become_dense():
 
 def test_kron_matches_np_kron():
     rng = np.random.default_rng(4)
-    factors = [Fourier(3), Select.take(4, [1, 3]), Dense(gaussian(rng, (2, 5))),
+    dense, dense2 = Dense(gaussian(rng, (2, 5))), Dense(gaussian(rng, (3, 2)))
+    fourier, select = Fourier(3), Select.take(4, [1, 3])
+    chain = Compose([Fourier(6, conj=True), Select.take(6, [0, 1, 2]).T])
+    factors = [fourier, select, dense,
                compose(Fourier(6, conj=True), Select.take(6, [0, 1, 2]).T)]
-    for k in range(1, len(factors) + 1):
-        op = Kron(factors[:k])
+    # a dense factor applies in its own layout: put it first, in the middle
+    # and last, beside every other kind, and next to another dense factor
+    cases = [factors[:k] for k in range(1, len(factors) + 1)] + [
+        [dense, select, chain, fourier], [select, dense, chain],
+        [fourier, chain, select, dense], [dense, dense2], [chain, dense2, dense],
+    ]
+    for fs in cases:
+        op = Kron(fs)
         _check(op, rng)
-        want = factors[0].to_dense()
-        for f in factors[1:k]:
+        want = fs[0].to_dense()
+        for f in fs[1:]:
             want = np.kron(want, f.to_dense())
         np.testing.assert_allclose(op.to_dense(), want, rtol=0, atol=1e-12)
+        n = op.shape[1]
+        strided = gaussian(rng, (2 * n, 6))
+        slices = [strided[::2, 0], strided[::2, ::2], strided[1::2, 1:4]]
+        assert not any(x.flags.c_contiguous for x in slices)
+        for x in [gaussian(rng, n), gaussian(rng, (n, 3))] + slices:
+            got = op.apply(x)
+            assert got.shape == (op.shape[0],) + x.shape[1:]
+            np.testing.assert_allclose(got, want @ x, rtol=0, atol=1e-12)
 
 
 def test_kron_with_an_empty_factor():
