@@ -203,20 +203,19 @@ def kron(*programs: BilinearProgram) -> BilinearProgram:
 def prune_check(program: BilinearProgram) -> CountReport:
     """Verify the active mask against the numeric content of enc_param.
 
-    enc_param is applied to PRUNE_PROBES seeded random parameter vectors at
-    once.  A slot measures as active when its largest value is above
-    PRUNE_RTOL times the largest value of any slot.  A structurally zero
-    slot is 0 up to rounding; any other slot is a nonzero polynomial in
-    the random parameters, so it is nonzero with probability 1
-    (Schwartz-Zippel).  ``match`` is False when the builder's mask
-    disagrees with the measurement anywhere, which indicates a builder bug.
+    enc_param is applied to PRUNE_PROBES pseudorandom complex parameter
+    vectors at once, drawn by :func:`_probes`, a fixed-seed SplitMix64
+    generator, so that the check does not import ``numpy.random``.  A slot
+    measures as active when its largest value is above PRUNE_RTOL times
+    the largest value of any slot.  A structurally zero slot is 0 up to
+    rounding; any other slot is a nonzero polynomial in the random
+    parameters, so it is nonzero with probability 1 (Schwartz-Zippel).
+    ``match`` is False when the builder's mask disagrees with the
+    measurement anywhere, which indicates a builder bug.
     """
     if program.r == 0:
         return CountReport(theoretical=0, measured=0, match=True)
-    rng = np.random.default_rng(0)
-    shape = (program.d_param, PRUNE_PROBES)
-    probes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    mags = np.abs(program.enc_param.apply(probes))
+    mags = np.abs(program.enc_param.apply(_probes(program.d_param)))
     scale = mags.max() if mags.size else 0.0
     row_max = mags.max(axis=1) if mags.size else np.zeros(program.r)
     numeric = row_max > PRUNE_RTOL * scale
@@ -227,3 +226,18 @@ def prune_check(program: BilinearProgram) -> CountReport:
         measured=measured,
         match=bool(np.array_equal(numeric, program.active)),
     )
+
+
+def _probes(d: int) -> np.ndarray:
+    """PRUNE_PROBES complex vectors of length ``d`` as a (d, PRUNE_PROBES)
+    array, with real and imaginary parts uniform in [-1, 1): the outputs 1,
+    2, ... of SplitMix64 (Steele, Lea and Flood, 2014) from seed 0,
+    computed at once in wrapping uint64 arithmetic."""
+    z = np.arange(1, 2 * d * PRUNE_PROBES + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    parts = z.view(np.int64).reshape(2, d, PRUNE_PROBES) / 2.0**63
+    return parts[0] + 1j * parts[1]

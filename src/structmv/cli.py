@@ -9,9 +9,7 @@ codes: 0 success, 1 verification failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import statistics
 import sys
 import time
 
@@ -46,30 +44,57 @@ class FileFormatError(ValueError):
 # file formats
 # ---------------------------------------------------------------------------
 
+# the range of a numpy index, which a sparse entry's i and j must fit
+_INTP_MIN, _INTP_MAX = int(np.iinfo(np.intp).min), int(np.iinfo(np.intp).max)
+
+
 def _is_int(x) -> bool:
     # JSON true/false load as bool, which is a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _pairs_to_complex(pairs, what: str) -> np.ndarray:
+def _pairs_to_complex(pairs, what: str, each: str | None = None) -> np.ndarray:
+    """The [re, im] pairs of the JSON array ``pairs`` as complex values.
+
+    Messages name the array ``what`` and its pair k ``what[k]``.  With
+    ``each``, a format of k such as ``"entries[{k}].v"``, pair k is the
+    one pair of a field of its own: messages name that field, and the
+    first bad pair is the one reported, non-finite or not a pair.
+    """
     if not isinstance(pairs, list):
         raise FileFormatError(f"{what} must be an array of [re, im] pairs")
     out = np.empty(len(pairs), dtype=complex)
     for k, pair in enumerate(pairs):
         if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(_is_number(x) for x in pair)
+            isinstance(pair, list)
+            and len(pair) == 2
+            and _is_number(pair[0])
+            and _is_number(pair[1])
         ):
-            raise FileFormatError(f"{what}[{k}] is not a [re, im] pair")
-        out[k] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise FileFormatError(f"{what} contains a non-finite value")
+            try:
+                out[k] = complex(pair[0], pair[1])
+                continue
+            except OverflowError:
+                problem = "holds an integer too large for a float"
+        else:
+            problem = "is not a [re, im] pair"
+        if each is None:
+            raise FileFormatError(f"{what}[{k}] {problem}")
+        _require_finite(out[:k], what, each)
+        raise FileFormatError(f"{each.format(k=k)}[0] {problem}")
+    _require_finite(out, what, each)
     return out
+
+
+def _require_finite(values, what: str, each: str | None):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        name = what if each is None else each.format(k=bad[0])
+        raise FileFormatError(f"{name} contains a non-finite value")
 
 
 def _complex_to_pairs(values) -> list:
@@ -122,14 +147,20 @@ def matrix_from_obj(obj) -> StructuredMatrix:
         if not isinstance(raw, list):
             raise FileFormatError("sparse needs an 'entries' array")
         support = []
-        values = np.empty(len(raw), dtype=complex)
         for k, entry in enumerate(raw):
-            if not isinstance(entry, dict) or not {"i", "j", "v"} <= set(entry):
+            if not (isinstance(entry, dict)
+                    and "i" in entry and "j" in entry and "v" in entry):
                 raise FileFormatError(f"entries[{k}] must have keys i, j, v")
-            if not _is_int(entry["i"]) or not _is_int(entry["j"]):
+            i, j = entry["i"], entry["j"]
+            if not _is_int(i) or not _is_int(j):
                 raise FileFormatError(f"entries[{k}] indices must be integers")
-            support.append((entry["i"], entry["j"]))
-            values[k] = _pairs_to_complex([entry["v"]], f"entries[{k}].v")[0]
+            for key, index in (("i", i), ("j", j)):
+                if not _INTP_MIN <= index <= _INTP_MAX:
+                    raise FileFormatError(
+                        f"entries[{k}].{key} does not fit in an index")
+            support.append((i, j))
+        values = _pairs_to_complex([entry["v"] for entry in raw], "entries",
+                                   each="entries[{k}].v")
         m = SparseRep(SparsityPattern(n, tuple(support)), values)
     else:
         m = _CLASSES[tag](n, _pairs_to_complex(obj.get("param"), "param"))
@@ -435,7 +466,9 @@ def cmd_bench(args) -> int:
                 failures.append(f"{name} N={total} {method}: rel error "
                                 f"{max(errors):.3e}, counts {sorted(counts)}, "
                                 f"want {expected_count}")
-            rows.append((name, total, method, int(statistics.median(times)), count))
+            rows.append((name, total, method, int(np.median(times)), count))
+    import csv  # only bench writes CSV; the other commands skip the import
+
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     try:
         writer = csv.writer(out)

@@ -98,8 +98,9 @@ class Select(Operator):
     - if at least half of the rows have one or two entries, those rows
       apply as two gathers, x[c0] * w0 + xe[c1] * w1, where ``xe`` is x
       with a zero row appended and c1 reads that row for a row of one
-      entry.  Unit maps skip the weights.  Rows with three or more
-      entries take one segmented sum over their own entries;
+      entry.  A gather skips its weights when all of them are 1.  Rows
+      with three or more entries take one segmented sum over their own
+      entries;
     - otherwise every row takes one segmented sum.
 
     The two-gather table is built on the first ``apply`` and kept, so
@@ -203,13 +204,16 @@ class _Pairs:
     three or more entries, are overwritten by their segmented sums.
     Column n is the zero row of ``xe``; when no row reads it, ``zero`` is
     False and x serves as it is.  A long row reads its first entry, which
-    its sum then overwrites.  Unit maps keep no weights, and c1 is None
-    when no row has two entries."""
+    its sum then overwrites.  A weight vector whose entries are all 1 is
+    not kept: w0 is judged on the rows of one or two entries, w1 on the
+    rows of two and the sums' weights on the long rows' own entries.  c1
+    is None when no row has two entries."""
 
-    __slots__ = ("c0", "c1", "w0", "w1", "zero", "long")
+    __slots__ = ("c0", "c1", "w0", "w1", "zero", "long", "unit")
 
     def __init__(self, op: Select, counts, short, n_short):
         m, n = op.shape
+        self.unit = op._unit
         starts, rows = op._starts, op._out_rows
         self.c0 = np.full(m, n)
         self.c0[rows] = op.cols[starts]
@@ -220,12 +224,13 @@ class _Pairs:
             second, rows2 = starts[two] + 1, rows[two]
             self.c1 = np.full(m, n)
             self.c1[rows2] = op.cols[second]
-        if not op._unit:
-            self.w0 = np.zeros(m)
-            self.w0[rows] = op.vals[starts]
-            if n_two:
+            if np.any(op.vals[second] != 1):
                 self.w1 = np.zeros(m)
                 self.w1[rows2] = op.vals[second]
+        # a long row's first weight is never read: its sum overwrites it
+        if np.any(op.vals[starts[short]] != 1):
+            self.w0 = np.zeros(m)
+            self.w0[rows] = op.vals[starts]
         # c0 reads the zero row at an empty row, c1 at every row that has
         # no second entry
         self.zero = len(starts) < m or 0 < n_two < m
@@ -234,13 +239,14 @@ class _Pairs:
             long = ~short
             entries = np.repeat(long, counts)
             sizes = counts[long]
+            vals = op.vals[entries]
             self.long = (rows[long], op.cols[entries],
-                         None if op._unit else op.vals[entries],
+                         vals if np.any(vals != 1) else None,
                          np.cumsum(sizes) - sizes)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         shape = (-1,) + (1,) * (x.ndim - 1)
-        if self.w0 is not None and x.dtype.kind not in "fc":
+        if not self.unit and x.dtype.kind not in "fc":
             x = x.astype(float)  # so that the weights multiply in place
         xe = x
         if self.zero:

@@ -28,63 +28,49 @@ def _cvec(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CirculantRep:
+class ParamRep:
+    """A structure of order n stored as one parameter vector ``param``.
+
+    The base of the four structures of this form; equality is identity.
+    """
+
+    n: int
+    param: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "param", _cvec(self.param))
+
+
+class CirculantRep(ParamRep):
     """Circulant matrix of order n; ``param`` is the first row.
 
     Entry (i, j) equals ``param[(j - i) % n]``: each row is the cyclic
     right shift of the previous one.
     """
 
-    n: int
-    param: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "param", _cvec(self.param))
-
-
-@dataclass(frozen=True, eq=False)
-class ToeplitzRep:
+class ToeplitzRep(ParamRep):
     """Toeplitz matrix of order n stored as 2n-1 diagonal values.
 
     Entry (i, j) equals ``param[j - i + n - 1]``; param goes from the
     bottom-left corner to the top-right corner.
     """
 
-    n: int
-    param: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "param", _cvec(self.param))
-
-
-@dataclass(frozen=True, eq=False)
-class HankelRep:
+class HankelRep(ParamRep):
     """Hankel matrix of order n stored as 2n-1 anti-diagonal values.
 
     Entry (i, j) equals ``param[2n - 2 - i - j]``; param goes from the
     bottom-right corner to the top-left corner.
     """
 
-    n: int
-    param: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "param", _cvec(self.param))
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetricRep:
+class SymmetricRep(ParamRep):
     """Symmetric matrix of order n stored as its packed upper triangle.
 
     Row-major packing: ``param[k] = S[i, j]`` for i <= j with
     ``k = i*n - i*(i+1)//2 + j`` (see :func:`symmetric_pack_index`).
     """
-
-    n: int
-    param: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "param", _cvec(self.param))
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +228,7 @@ def require_params(kind: str, n: int, got: int, need: int) -> None:
 def validate(m: StructuredMatrix) -> None:
     """Check all invariants of ``m``; raise StructureError on the first
     violation, return None when the representation is well formed."""
-    if isinstance(m, (CirculantRep, ToeplitzRep, HankelRep, SymmetricRep)):
+    if isinstance(m, ParamRep):
         kind = KINDS[type(m)]
         _require(m.n >= 1, f"{kind} order must be >= 1, got {m.n}")
         require_params(kind, m.n, len(m.param), param_dim(m))
@@ -255,14 +241,21 @@ def validate(m: StructuredMatrix) -> None:
         )
     elif isinstance(m, SparsityPattern):
         _require(m.n >= 1, f"pattern order must be >= 1, got {m.n}")
-        seen = set()
-        for (i, j) in m.support:
+        rows, cols = m.rows, m.cols
+        bad = (rows < 0) | (rows >= m.n) | (cols < 0) | (cols >= m.n)
+        # a stable sort keeps equal entries in support order, so each one
+        # after the first of its run repeats an earlier entry
+        ranked = np.lexsort((cols, rows))
+        later, earlier = ranked[1:], ranked[:-1]
+        again = (rows[later] == rows[earlier]) & (cols[later] == cols[earlier])
+        bad[later[again]] = True
+        if bad.any():  # the first bad entry, out of range or repeated
+            i, j = m.support[int(np.argmax(bad))]
             _require(
                 0 <= i < m.n and 0 <= j < m.n,
                 f"support index ({i}, {j}) out of range for order {m.n}",
             )
-            _require((i, j) not in seen, f"duplicate support entry ({i}, {j})")
-            seen.add((i, j))
+            raise StructureError(f"duplicate support entry ({i}, {j})")
     elif isinstance(m, SparseRep):
         validate(m.pattern)
         _require(

@@ -4,7 +4,7 @@ import pytest
 import structmv as sm
 from structmv import bilinear, kernels, oracle
 from structmv.bilinear import BilinearProgram
-from util import gaussian, rel_err
+from util import gaussian, rel_err, run_python
 
 IDENTITY = BilinearProgram(
     enc_param=[[1.0]], enc_vec=[[1.0]], dec=[[1.0]], active=[True]
@@ -147,6 +147,41 @@ def test_prune_check_flags_wrong_mask():
     report = bilinear.prune_check(bad)
     assert not report.match
     assert report.measured == 2 and report.theoretical == 1
+
+
+def test_prune_check_is_repeatable_without_numpy_random(tmp_path):
+    """Two checks of one program agree, and the probes come from the
+    module's own seeded generator, in a process that never imports
+    numpy.random."""
+    code = ("import sys\n"
+            "from structmv import bilinear, kernels\n"
+            "for p in (kernels.toeplitz_program(6), kernels.symmetric_program(5)):\n"
+            "    first, second = bilinear.prune_check(p), bilinear.prune_check(p)\n"
+            "    print(first == second, first.match)\n"
+            "print('numpy.random' in sys.modules)\n")
+    r = run_python(["-c", code], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True", "True", "True", "True", "False"]
+
+
+def test_probes_are_splitmix64_from_seed_zero():
+    """The probes are SplitMix64's outputs 1, 2, ... as signed 64-bit
+    integers over 2**63: real parts first, then imaginary parts, each
+    filled row by row."""
+    def splitmix64(k):
+        z = k * 0x9E3779B97F4A7C15 % 2**64
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        return z ^ z >> 31
+
+    assert splitmix64(1) == 0xE220A8397B1DCDAF  # its published first output
+    d = 4
+    probes = bilinear._probes(d)
+    assert probes.shape == (d, bilinear.PRUNE_PROBES)
+    want = [(z - 2**64 if z >= 2**63 else z) / 2**63
+            for z in map(splitmix64, range(1, 2 * probes.size + 1))]
+    np.testing.assert_array_equal(probes.real.reshape(-1), want[:probes.size])
+    np.testing.assert_array_equal(probes.imag.reshape(-1), want[probes.size:])
 
 
 def test_apply_is_bilinear():

@@ -7,7 +7,7 @@ import pytest
 
 import structmv as sm
 from structmv import cli, kernels, multilevel, oracle
-from util import run_cli
+from util import run_cli, run_python
 
 
 def _write(tmp_path, name, obj):
@@ -466,6 +466,90 @@ def test_verify_overflow_fails_without_warnings(tmp_path):
         assert r.returncode == 1, r.stdout + r.stderr
         assert r.stdout.strip().splitlines()[-1] == "FAIL"
         assert r.stderr == ""
+
+
+_HUGE = 10**400  # a JSON integer that no float holds
+
+
+@pytest.mark.parametrize("matrix, vector, message", [
+    ({"structure": "circulant", "n": 2, "param": [[1, 0], [0, _HUGE]]},
+     {"n": 2, "v": [[1, 0], [1, 0]]},
+     "param[1] holds an integer too large for a float"),
+    ({"structure": "toeplitz_plus_hankel", "n": 1, "toeplitz": [[-_HUGE, 0]],
+      "hankel": _ONE}, {"n": 1, "v": _ONE},
+     "toeplitz[0] holds an integer too large for a float"),
+    ({"structure": "toeplitz_plus_hankel", "n": 1, "toeplitz": _ONE,
+      "hankel": [[0, _HUGE]]}, {"n": 1, "v": _ONE},
+     "hankel[0] holds an integer too large for a float"),
+    ({"structure": "sparse", "n": 2, "entries": [
+        {"i": 0, "j": 0, "v": [1, 0]}, {"i": 1, "j": 1, "v": [_HUGE, 0]}]},
+     {"n": 2, "v": [[1, 0], [1, 0]]},
+     "entries[1].v[0] holds an integer too large for a float"),
+    ({"structure": "circulant", "n": 1, "param": _ONE}, {"n": 1, "v": [[_HUGE, 0]]},
+     "v[0] holds an integer too large for a float"),
+], ids=["param", "toeplitz", "hankel", "entry-v", "vector-v"])
+def test_json_integer_too_large_for_a_float_exits_2(tmp_path, matrix, vector,
+                                                     message):
+    mat = _write(tmp_path, "m.json", matrix)
+    vec = _write(tmp_path, "v.json", vector)
+    for args in (["apply", mat, vec], ["verify", mat, vec]):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("i", 2**63), ("j", 2**63), ("i", -2**63 - 1), ("j", _HUGE)],
+    ids=["i-2^63", "j-2^63", "i-below-int64", "j-huge"])
+def test_sparse_index_too_large_for_an_index_exits_2(tmp_path, key, value):
+    entry = {"i": 0, "j": 0, "v": [1, 0]}
+    bad = dict(entry, **{key: value})
+    mat = _write(tmp_path, "m.json", {"structure": "sparse", "n": 1,
+                                      "entries": [entry, bad]})
+    vec = _write(tmp_path, "v.json", {"n": 1, "v": _ONE})
+    for args in (["apply", mat, vec], ["verify", mat, vec]):
+        r = run_cli(args, tmp_path)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.strip().splitlines() == [
+            f"error: entries[1].{key} does not fit in an index"]
+
+
+@pytest.mark.parametrize("values, message", [
+    ([[1, 0], [2, 0], "x"], "entries[2].v[0] is not a [re, im] pair"),
+    ([[1, 0], [1e400, 0], "x"], "entries[1].v contains a non-finite value"),
+    ([[1, 0], [0, -1e400], [1e400, 0]],
+     "entries[1].v contains a non-finite value"),
+    ([[1, 0], [True, 0]], "entries[1].v[0] is not a [re, im] pair"),
+])
+def test_sparse_values_name_the_first_bad_entry(values, message):
+    entries = [{"i": k, "j": k, "v": v} for k, v in enumerate(values)]
+    with pytest.raises(cli.FileFormatError) as exc:
+        cli.matrix_from_obj({"structure": "sparse", "n": 3, "entries": entries})
+    assert str(exc.value) == message
+
+
+# what an apply or verify child has loaded once cli.main returns
+_LOADED = ("import sys\n"
+           "from structmv import cli\n"
+           "rc = cli.main(sys.argv[1:])\n"
+           "print('loaded:', [name for name in ('numpy.random', 'statistics', "
+           "'csv') if name in sys.modules])\n"
+           "raise SystemExit(rc)\n")
+
+
+def test_apply_and_verify_load_only_what_they_run(tmp_path):
+    """Only gen, verify without a vector file and bench draw random inputs
+    or write CSV, so an apply or verify child on files imports neither
+    numpy.random nor statistics nor csv."""
+    mat = _write(tmp_path, "m.json", {"structure": "sparse", "n": 3, "entries": [
+        {"i": 0, "j": 2, "v": [1.5, -1]}, {"i": 2, "j": 1, "v": [0, 2]}]})
+    vec = _vector_file(tmp_path, "v.json", [1, 2j, -3])
+    for args in (["apply", mat, vec, "-o", "out.json"],
+                 ["apply", mat, vec, "--method", "direct", "-o", "out.json"],
+                 ["verify", mat, vec]):
+        r = run_python(["-c", _LOADED, *args], tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert r.stdout.splitlines()[-1] == "loaded: []"
 
 
 # ---------------------------------------------------------------------------

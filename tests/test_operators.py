@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import structmv
+from structmv.kernels import toeplitz_embedding
 from structmv.operators import (
     Compose, Dense, Fourier, Kron, Select, VStack, as_operator, compose,
 )
@@ -94,6 +95,38 @@ def test_select_rows_of_any_length_match_to_dense(mix):
             assert rel_err(out, np.tensordot(d, x, axes=1)) < 1e-12
     real = Select((3, 4), [0, 0, 1, 2], [1, 2, 3, 0], [1.0, -1.0, 0.5, 2.0])
     np.testing.assert_array_equal(real.apply(np.arange(4)), [-1.0, 1.5, 0.0])
+
+
+def _exact(op, x):
+    """op.apply(x) equals op.to_dense() @ x bit for bit; both are exact
+    on integer-valued inputs."""
+    np.testing.assert_array_equal(op.apply(x), op.to_dense() @ x)
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 512])
+def test_two_gathers_skip_weights_that_are_all_one(n):
+    """The Toeplitz embedding holds -1 only in its long row, whose sum
+    overwrites it, so its gathers keep no weights; a map whose second
+    entries are -1 keeps w1 only.  Results stay exact."""
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-50, 50, size=(2 * n - 1, 2))
+    embed = toeplitz_embedding(n).op
+    _exact(embed, ints[:, 0] + 1j * ints[:, 1])
+    _exact(embed, ints.astype(float))
+    out = embed.apply(ints[:, 0])  # integers still come out as floats
+    assert out.dtype == float
+    pairs = embed._pairs
+    assert pairs.w0 is None and pairs.w1 is None and pairs.long[2] is not None
+
+    # row r is x[r] - x[r + 1], the last row x[n - 1] alone
+    rows = np.concatenate([np.arange(n - 1), np.arange(n)])
+    cols = np.concatenate([np.arange(1, n), np.arange(n)])
+    vals = np.concatenate([-np.ones(n - 1), np.ones(n)])
+    diff = Select((n, n), rows, cols, vals)
+    _exact(diff, ints[:n].astype(float))
+    _exact(diff, ints[:n, 0])
+    pairs = diff._pairs
+    assert pairs.w0 is None and pairs.w1 is not None and pairs.long is None
 
 
 def test_symmetric_vector_encoder_needs_no_segmented_sum(monkeypatch):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import structmv as sm
-from structmv.structures import StructureError, symmetric_pack_index
+from structmv.structures import KINDS, ParamRep, StructureError, symmetric_pack_index
 
 
 def test_order_single_level():
@@ -66,6 +68,34 @@ def test_validate_rejects_bad_pattern():
         sm.validate(sm.SparseRep(pattern, [1.0, 2.0]))
 
 
+def _first_bad_support_entry(n, support):
+    """The loop that validate's vectorized check replaced: the message of
+    the first entry out of range or repeating an earlier one."""
+    seen = set()
+    for i, j in support:
+        if not (0 <= i < n and 0 <= j < n):
+            return f"support index ({i}, {j}) out of range for order {n}"
+        if (i, j) in seen:
+            return f"duplicate support entry ({i}, {j})"
+        seen.add((i, j))
+    return None
+
+
+def test_validate_names_the_first_bad_support_entry():
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        n = int(rng.integers(1, 5))
+        support = tuple(map(tuple, rng.integers(-1, n + 1, (rng.integers(9), 2))))
+        want = _first_bad_support_entry(n, support)
+        pattern = sm.SparsityPattern(n, support)
+        if want is None:
+            sm.validate(pattern)
+        else:
+            with pytest.raises(StructureError) as exc:
+                sm.validate(pattern)
+            assert str(exc.value) == want
+
+
 def test_validate_rejects_nested_multilevel():
     inner = sm.MultilevelRep((sm.CirculantRep(2, [1, 2]),))
     with pytest.raises(StructureError, match="nested"):
@@ -102,3 +132,18 @@ def test_params_are_read_only():
     rep = sm.CirculantRep(3, [1, 2, 3])
     with pytest.raises(ValueError):
         rep.param[0] = 5.0
+
+
+@pytest.mark.parametrize("cls, params", [
+    (sm.CirculantRep, 3), (sm.ToeplitzRep, 5), (sm.HankelRep, 5),
+    (sm.SymmetricRep, 6)])
+def test_param_structures_share_one_frozen_base(cls, params):
+    rep = cls(3, np.arange(params))
+    assert isinstance(rep, ParamRep) and cls in KINDS
+    assert repr(rep).startswith(f"{cls.__name__}(n=3, param=array(")
+    assert cls.__doc__ != ParamRep.__doc__
+    # equality is identity
+    assert rep == rep and rep != cls(3, np.arange(params))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.n = 4
+    sm.validate(rep)

@@ -87,10 +87,15 @@ def check_prepared_block(m, block):
 
 
 def run_cli(args, cwd):
+    return run_python(["-m", "structmv", *args], cwd)
+
+
+def run_python(args, cwd):
+    """A fresh Python process on ``args`` that imports structmv from SRC."""
     env = os.environ.copy()
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "structmv", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
