@@ -12,7 +12,6 @@ brute-force oracle for cross-checking.
 from .bilinear import BilinearProgram, CountReport, Prepared, apply, kron, prune_check
 from .kernels import (
     circulant_program,
-    direct_matvec,
     hankel_program,
     sparse_program,
     symmetric_program,
@@ -21,7 +20,6 @@ from .kernels import (
 )
 from .multilevel import (
     intermediate_w_values,
-    multilevel_matvec_direct,
     multilevel_program,
     prepare,
 )
@@ -63,13 +61,11 @@ __all__ = [
     "circulant_program",
     "dense",
     "dft",
-    "direct_matvec",
     "fourier_matrix",
     "hankel_program",
     "idft",
     "intermediate_w_values",
     "kron",
-    "multilevel_matvec_direct",
     "multilevel_program",
     "naive_matvec",
     "order",

@@ -109,8 +109,9 @@ class CountReport:
 
 def coefficients(program: BilinearProgram, a) -> np.ndarray:
     """Slot coefficients of ``program`` on parameter vector ``a``: its
-    parameter encoding, with the inactive slots set to exactly 0."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
+    parameter encoding, with the inactive slots set to exactly 0.  A view
+    gives the bits of its contiguous copy, as in :func:`slot_products`."""
+    a = np.ascontiguousarray(a, dtype=complex).reshape(-1)
     if len(a) != program.d_param:
         raise ValueError(
             f"parameter vector has length {len(a)}, expected {program.d_param}"
@@ -125,7 +126,8 @@ def slot_products(program: BilinearProgram, coef, v,
     """The pointwise stage: ``coef`` times the encoded input, one product
     per slot.  ``v`` has shape (n_in,), or (n_in, k) for a block of k
     vectors; ``kind`` names the matrix in error messages."""
-    v = np.asarray(v, dtype=complex)
+    # C order, as in coefficients: dense maps round strided views differently
+    v = np.asarray(v, dtype=complex, order="C")
     if v.ndim not in (1, 2):
         raise ValueError(
             f"expected a vector or a block of vectors, got shape {v.shape}"

@@ -287,18 +287,6 @@ def load_vector(path, m: StructuredMatrix) -> np.ndarray:
     return v
 
 
-def apply_structured(m: StructuredMatrix, v, method: str):
-    """Evaluate by the requested route; returns (result, count)."""
-    if method == "program":
-        return bilinear.apply(multilevel.multilevel_program(m),
-                              multilevel.param_vector(m), v)
-    if method == "direct":
-        if isinstance(m, MultilevelRep):
-            return multilevel.multilevel_matvec_direct(m, v)
-        return kernels.direct_matvec(m, v)
-    raise FileFormatError(f"unknown method: {method!r}")
-
-
 def _rel_err(got, want) -> float:
     got = np.asarray(got)
     want = np.asarray(want)
@@ -336,7 +324,11 @@ def cmd_apply(args) -> int:
     v = load_vector(args.vector, m)
     # finite inputs can overflow; the check below reports it in one line
     with np.errstate(all="ignore"):
-        result, count = apply_structured(m, v, args.method)
+        if args.method == "program":
+            result, count = bilinear.apply(multilevel.multilevel_program(m),
+                                           multilevel.param_vector(m), v)
+        else:
+            result, count = multilevel.prepare(m).apply(v)
     if not np.all(np.isfinite(result)):
         raise ValueError("product is not finite")
     print(f"multiplications: {count}", file=sys.stderr)
@@ -354,11 +346,12 @@ def cmd_verify(args) -> int:
     theoretical = param_dim(m)
     # an overflow shows as a non-finite error, which fails the check
     with np.errstate(all="ignore"):
-        program = multilevel.prepare(m).program
+        prepared = multilevel.prepare(m)
+        program = prepared.program
         want = oracle.naive_matvec(oracle.dense(m), v)
         prog_result, prog_count = bilinear.apply(
             program, multilevel.param_vector(m), v)
-        direct_result, direct_count = apply_structured(m, v, "direct")
+        direct_result, direct_count = prepared.apply(v)
         err_prog = _rel_err(prog_result, want)
         err_direct = _rel_err(direct_result, want)
     report = bilinear.prune_check(program)
@@ -435,13 +428,13 @@ def cmd_bench(args) -> int:
     for name, m in instances:
         total = order(m)
         v = _gaussian(rng, total)
-        program = multilevel.prepare(m).program
+        prepared = multilevel.prepare(m)
+        program = prepared.program
         params = multilevel.param_vector(m)
         methods = [
             ("structured-program", lambda: bilinear.apply(program, params, v),
              param_dim(m)),
-            ("structured-direct", lambda: apply_structured(m, v, "direct"),
-             param_dim(m)),
+            ("structured-direct", lambda: prepared.apply(v), param_dim(m)),
         ]
         # every timed result is checked against the oracle, or for orders
         # too large for it against the other route

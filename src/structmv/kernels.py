@@ -3,11 +3,12 @@
 Each structure gets a builder producing a
 :class:`~structmv.bilinear.BilinearProgram` whose active-slot count is
 provably minimal for that structure.  The direct path applies that same
-program: :func:`prepare_level` encodes a matrix's parameters once into one
-coefficient per slot, 0 at the inactive slots, and keeps them on the
-matrix as a :class:`~structmv.bilinear.Prepared`.  A direct product is the
-program's vector encoder, one pointwise multiply and its decoder, on a
-vector or on a block of vectors along a trailing axis.
+program: :func:`structmv.multilevel.prepare` encodes a matrix's parameters
+once with the program's own parameter encoder, one coefficient per slot
+and 0 at the inactive slots, and keeps them on the matrix as a
+:class:`~structmv.bilinear.Prepared`.  A direct product is the program's
+vector encoder, one pointwise multiply and its decoder, on a vector or on
+a block of vectors along a trailing axis.
 
 The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
 into a circulant of twice the order with the free first-row entry chosen as
@@ -19,10 +20,11 @@ pair, a_ij (v_i + v_j), and one per diagonal entry,
 (a_ii - sum_{j != i} a_ij) v_i, with index maps only.  Toeplitz-plus-Hankel
 shifts a multiple of the all-ones matrix between its two components so that
 the Toeplitz part's frequency-1 slot vanishes as well, saving a second
-multiplication; the shift is part of the program, so a multilevel level
-runs it on its raw 4n-2 parameters too.  Its Hankel branch moves the output
-reversal onto its frequency slots (the FFT flip identity), so both branches
-share one forward and one inverse transform.  Sparse is the
+multiplication; the shift is part of the program's parameter encoder, so
+the direct route and a multilevel level run it on the raw 4n-2 parameters
+too.  Its Hankel branch moves the output reversal onto its frequency slots
+(the FFT flip identity), so both branches share one forward and one
+inverse transform.  Sparse is the
 usual support-driven matvec, as one gather, one multiply and one segmented
 sum.  Whether a map applies as a small dense matrix, an index map or
 ``np.fft`` is the operators' one rule, the same on both routes.
@@ -35,7 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bilinear import BilinearProgram, Prepared
+from . import multilevel  # a cycle: neither reads the other at import
+from .bilinear import BilinearProgram
 from .operators import Dense, Fourier, Select, VStack, compose
 from .structures import (
     KINDS,
@@ -337,57 +340,8 @@ def single_level_params(m: StructuredMatrix) -> np.ndarray:
 # direct path
 # ---------------------------------------------------------------------------
 
-def memo(m: StructuredMatrix, build) -> Prepared:
-    """``build(m)``, computed once per matrix object and kept on the object
-    itself.  A representation is immutable and compared by identity, so
-    the memo is a pure function of the object and lives as long as it."""
-    prepared = vars(m).get("_prepared")
-    if prepared is None:
-        prepared = build(m)
-        object.__setattr__(m, "_prepared", prepared)
-    return prepared
-
-
-def prepare_level(m: StructuredMatrix) -> Prepared:
-    """The single-level matrix ``m`` prepared for direct products, once
-    per matrix object."""
-    return memo(m, _prepare_single)
-
-
-def _toeplitz_slots(n: int, param) -> np.ndarray:
-    """All slot values of :func:`toeplitz_program` on ``param``."""
-    return toeplitz_program(n).enc_param @ np.ascontiguousarray(param)
-
-
-def _prepare_single(m: StructuredMatrix) -> Prepared:
-    """Encode the parameters of ``m`` into the slot coefficients of
-    :func:`single_level_program`.
-
-    The Hankel branches, alone and in Toeplitz-plus-Hankel, take the
-    Toeplitz encoder on their reversed parameters.  That is the slot
-    values of hankel_program's fused encoder with the embedding's free
-    entry summed in the Toeplitz order, so a Hankel product is the reversed
-    Toeplitz product bit for bit, and each Toeplitz-plus-Hankel branch
-    encodes only its own 2n-1 shifted parameters.  The Toeplitz-plus-Hankel
-    Hankel slots c then move to the Toeplitz decoder by the flip identity,
-    as (D c)[-k] (see :func:`fft_flip`), with a gather and a product by
-    constants, not a transform."""
-    program, param = single_level_program(m), single_level_params(m)
-    if isinstance(m, HankelRep):
-        slots = _toeplitz_slots(m.n, param[::-1])
-    elif isinstance(m, ToeplitzPlusHankelRep):
-        t, h = param[:2 * m.n - 1], param[2 * m.n - 1:]
-        shift = tph_alpha(m.n) @ t
-        index, twiddle = fft_flip(m.n)
-        hankel = _toeplitz_slots(m.n, (h + shift)[::-1])
-        slots = np.concatenate([twiddle * hankel[index],
-                                _toeplitz_slots(m.n, t - shift)])
-    else:
-        slots = program.enc_param @ param
-    return Prepared(KINDS[type(m)], program, slots)
-
-
 def direct_matvec(m: StructuredMatrix, v) -> tuple[np.ndarray, int]:
     """Direct-path product and its genuine multiplication count, for a
-    vector or a block of vectors (see :class:`Prepared`)."""
-    return prepare_level(m).apply(v)
+    vector or a block of vectors: ``prepare(m).apply(v)`` (see
+    :func:`structmv.multilevel.prepare`)."""
+    return multilevel.prepare(m).apply(v)

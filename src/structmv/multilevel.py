@@ -8,9 +8,9 @@ routes.  Each map is one :class:`~structmv.operators.Kron` operator with a
 factor per level, applied as one mode product per level with no Kronecker
 matrix formed, unless the whole map is small enough to keep dense.  A
 single-level matrix is a multilevel matrix of one level, so
-:func:`multilevel_program` and :func:`param_vector` serve every matrix.
-:func:`prepare` encodes the parameters once per matrix (see
-:class:`structmv.bilinear.Prepared`).
+:func:`multilevel_program`, :func:`param_vector` and :func:`prepare` serve
+every matrix; :func:`prepare` encodes each level's parameters once, by
+that level's own program (see :class:`structmv.bilinear.Prepared`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bilinear, kernels
 from .bilinear import BilinearProgram
-from .structures import MultilevelRep, StructuredMatrix
+from .structures import KINDS, HankelRep, MultilevelRep, StructuredMatrix
 
 
 def _kron_vectors(vectors) -> np.ndarray:
@@ -51,23 +51,36 @@ def multilevel_program(m: StructuredMatrix) -> BilinearProgram:
 
 def prepare(m: StructuredMatrix) -> bilinear.Prepared:
     """``m`` prepared for direct products: every parameter encoding done
-    once, and kept on the matrix object for as long as it lives.
+    once, and kept on the matrix object, which is immutable and compared
+    by identity, for as long as it lives.
 
-    A multilevel matrix keeps :func:`multilevel_program` and one
+    The prepared matrix keeps :func:`multilevel_program` and one
     coefficient per slot of it: ``param_dim(m)`` genuine multiplications
     plus the inactive slots, which hold 0.
     """
-    if not isinstance(m, MultilevelRep):
-        return kernels.prepare_level(m)
-    return kernels.memo(m, _prepare_kron)
+    prepared = vars(m).get("_prepared")
+    if prepared is None:
+        prepared = _encode(m)
+        object.__setattr__(m, "_prepared", prepared)
+    return prepared
 
 
-def _prepare_kron(m: MultilevelRep) -> bilinear.Prepared:
+def _encode(m: StructuredMatrix) -> bilinear.Prepared:
     # the Kronecker encoder applied to param_vector(m) is the Kronecker
     # product of the levels' encoded parameters, which costs far less
-    coef = _kron_vectors([kernels.prepare_level(level).coef
-                          for level in m.levels])
-    return bilinear.Prepared("multilevel", multilevel_program(m), coef)
+    coef = _kron_vectors([_level_coefficients(level) for level in _levels(m)])
+    return bilinear.Prepared(KINDS[type(m)], multilevel_program(m), coef)
+
+
+def _level_coefficients(level: StructuredMatrix) -> np.ndarray:
+    """:func:`bilinear.coefficients` of ``level``'s own program.  A Hankel
+    level takes the Toeplitz encoder on its reversed parameters, so that a
+    Hankel product is the reversed Toeplitz product bit for bit."""
+    param = kernels.single_level_params(level)
+    if isinstance(level, HankelRep):
+        return bilinear.coefficients(kernels.toeplitz_program(level.n),
+                                     param[::-1])
+    return bilinear.coefficients(kernels.single_level_program(level), param)
 
 
 def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:

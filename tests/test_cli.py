@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import structmv as sm
-from structmv import cli, kernels, multilevel, oracle
+from structmv import bilinear, cli, multilevel, oracle
 from util import run_cli, run_python
 
 
@@ -292,13 +292,13 @@ def test_bench_csv_format(tmp_path):
 
 
 def test_bench_records_the_direct_count(tmp_path, monkeypatch, capsys):
-    real = kernels.direct_matvec
+    real = bilinear.Prepared.apply
 
-    def one_extra(m, v):
-        result, count = real(m, v)
+    def one_extra(prepared, v):
+        result, count = real(prepared, v)
         return result, count + 1
 
-    monkeypatch.setattr(kernels, "direct_matvec", one_extra)
+    monkeypatch.setattr(bilinear.Prepared, "apply", one_extra)
     csv_path = tmp_path / "bench.csv"
     code = cli.main(["bench", "--structure", "toeplitz", "--n-max", "4",
                      "--reps", "2", "--csv", str(csv_path)])
@@ -316,17 +316,15 @@ def test_bench_records_the_direct_count(tmp_path, monkeypatch, capsys):
     ["--levels", "sparse:64,sparse:128", "--density", "0.002"],
 ])
 def test_bench_fails_on_a_wrong_result(tmp_path, monkeypatch, capsys, instance):
-    def perturbed(real):
-        def route(m, v):
-            result, count = real(m, v)
-            result = result.copy()
-            result[np.argmax(np.abs(result))] *= 1 + 1e-6
-            return result, count
-        return route
+    real = bilinear.Prepared.apply
 
-    monkeypatch.setattr(kernels, "direct_matvec", perturbed(kernels.direct_matvec))
-    monkeypatch.setattr(multilevel, "multilevel_matvec_direct",
-                        perturbed(multilevel.multilevel_matvec_direct))
+    def perturbed(prepared, v):
+        result, count = real(prepared, v)
+        result = result.copy()
+        result[np.argmax(np.abs(result))] *= 1 + 1e-6
+        return result, count
+
+    monkeypatch.setattr(bilinear.Prepared, "apply", perturbed)
     code = cli.main(["bench", *instance, "--reps", "1",
                      "--csv", str(tmp_path / "b.csv")])
     assert code == 1

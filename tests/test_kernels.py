@@ -472,13 +472,13 @@ def test_prepared_block_every_order(structure):
 @pytest.mark.parametrize("structure", SINGLE_LEVEL)
 def test_prepare_encodes_once_per_matrix(structure, monkeypatch):
     encoded = []
-    real = kernels._prepare_single
+    real = multilevel._encode
 
     def counting(m):
         encoded.append(m)
         return real(m)
 
-    monkeypatch.setattr(kernels, "_prepare_single", counting)
+    monkeypatch.setattr(multilevel, "_encode", counting)
     rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 70)
     m = random_instance(structure, 5, rng)
     prepared = sm.prepare(m)
@@ -517,8 +517,8 @@ def test_prepared_inactive_slots_hold_the_constant_zero(structure):
         assert count == prepared.program.count == sm.param_dim(m)
 
 
-@pytest.mark.parametrize("structure",
-                         ("circulant", "toeplitz", "symmetric", "sparse"))
+@pytest.mark.parametrize("structure", ("circulant", "toeplitz", "symmetric",
+                                       "sparse", "toeplitz_plus_hankel"))
 def test_program_and_direct_routes_agree_bit_for_bit(structure):
     # one program, one encoding of its parameters and one slot stage
     rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 100)
@@ -531,6 +531,26 @@ def test_program_and_direct_routes_agree_bit_for_bit(structure):
             np.testing.assert_array_equal(
                 bilinear.apply(program, params, block)[0],
                 kernels.direct_matvec(m, block)[0])
+
+
+@pytest.mark.parametrize("structure", SINGLE_LEVEL)
+def test_products_do_not_depend_on_the_input_layout(structure):
+    # a reversed view and its contiguous copy hold the same numbers, so
+    # both routes must give the same bits on them
+    rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 110)
+    for n in (3, 8, 16):
+        m = random_instance(structure, n, rng)
+        program = kernels.single_level_program(m)
+        params = kernels.single_level_params(m)
+        v = gaussian(rng, n)
+        np.testing.assert_array_equal(
+            bilinear.apply(program, params[::-1], v)[0],
+            bilinear.apply(program, params[::-1].copy(), v)[0])
+        np.testing.assert_array_equal(
+            bilinear.apply(program, params, v[::-1])[0],
+            bilinear.apply(program, params, v[::-1].copy())[0])
+        np.testing.assert_array_equal(sm.prepare(m).apply(v[::-1])[0],
+                                      sm.prepare(m).apply(v[::-1].copy())[0])
 
 
 def test_prepared_rejects_bad_shapes():

@@ -383,13 +383,13 @@ def test_prepared_block_every_head(head):
 
 def test_prepare_encodes_a_multilevel_matrix_once(monkeypatch):
     calls = []
-    real = multilevel._prepare_kron
+    real = multilevel._encode
 
     def counting(m):
         calls.append(len(m.levels))  # not m itself, which must be freed
         return real(m)
 
-    monkeypatch.setattr(multilevel, "_prepare_kron", counting)
+    monkeypatch.setattr(multilevel, "_encode", counting)
     rng = np.random.default_rng(41)
     m = sm.MultilevelRep((random_instance("toeplitz", 3, rng),
                           random_instance("sparse", 2, rng),
@@ -444,7 +444,7 @@ for levels in [(sm.ToeplitzPlusHankelRep(t(8), h(8)), t(8)),
     v = rng.standard_normal(sm.order(m))
     program = sm.apply(multilevel.multilevel_program(m),
                        multilevel.param_vector(m), v)[0]
-    direct = sm.multilevel_matvec_direct(m, v)[0]
+    direct = sm.prepare(m).apply(v)[0]
     assert np.abs(program - direct).max() <= 1e-12 * np.abs(direct).max()
 assert "numpy.fft" not in sys.modules, "numpy.fft was imported"
 """

@@ -23,7 +23,7 @@ def _cross_check(m, rng):
     v = gaussian(rng, sm.order(m))
     program = multilevel.multilevel_program(m)
     got, count = bilinear.apply(program, multilevel.param_vector(m), v)
-    direct, dcount = cli.apply_structured(m, v, "direct")
+    direct, dcount = sm.prepare(m).apply(v)
     assert rel_err(got, direct) < 1e-12
     assert rel_err(got, oracle.dense(m) @ v) < 1e-9
     assert count == dcount == sm.param_dim(m)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import structmv as sm
-from structmv import cli, kernels, multilevel
+from structmv import kernels, multilevel
 from structmv.structures import symmetric_pack_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -77,7 +77,7 @@ def check_prepared_block(m, block):
     k = block.shape[1]
     assert got.shape == block.shape
     assert rel_err(got, sm.dense(m) @ block) < 1e-9
-    columns = [cli.apply_structured(m, block[:, t], "direct") for t in range(k)]
+    columns = [sm.prepare(m).apply(block[:, t]) for t in range(k)]
     assert rel_err(got, np.stack([y for y, _ in columns], axis=1)) < 1e-12
     program_block, program_count = sm.apply(multilevel.multilevel_program(m),
                                              multilevel.param_vector(m), block)
