@@ -39,7 +39,6 @@ from .structures import (
     param_dim,
     validate,
 )
-from .transform import dft, fourier_matrix, idft
 
 __version__ = "0.1.0"
 
@@ -60,10 +59,7 @@ __all__ = [
     "apply",
     "circulant_program",
     "dense",
-    "dft",
-    "fourier_matrix",
     "hankel_program",
-    "idft",
     "intermediate_w_values",
     "kron",
     "multilevel_program",

@@ -148,15 +148,16 @@ def _decode(program: BilinearProgram, x) -> tuple[np.ndarray, int]:
 class Prepared:
     """A matrix ready for products: its bilinear ``program`` and ``coef``,
     one read-only coefficient per slot, encoded once from the matrix's
-    parameters.  The constructor copies ``coef`` and sets every inactive
-    slot to exactly 0.  ``kind`` names the structure in error messages."""
+    parameters.  The constructor takes ``coef``, with no copy if it is a
+    complex array, sets every inactive slot to exactly 0 in place and makes
+    it read-only.  ``kind`` names the structure in error messages."""
 
     kind: str
     program: BilinearProgram
     coef: np.ndarray
 
     def __post_init__(self):
-        coef = np.array(self.coef, dtype=complex)
+        coef = np.asarray(self.coef, dtype=complex)
         coef[self.program.inactive] = 0
         coef.setflags(write=False)
         object.__setattr__(self, "coef", coef)

@@ -60,17 +60,13 @@ class EmbeddingSpec:
 
     ``op`` maps the 2n-1 Toeplitz parameters to the circulant's first row
     (t_n..t_{2n-1}, b, t_1..t_{n-1} in 1-indexed terms) with b = -sum(t),
-    so the first row always sums to zero.  The program builders use ``op``;
-    :meth:`embed` applies it by slicing, with an optional other ``b``.
+    so the first row always sums to zero.  The program builders apply or
+    re-index ``op``; :meth:`embed` builds the row by slicing instead, with
+    an optional other ``b``.
     """
 
     n: int
     op: Select
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """``op`` as a dense (2n, 2n-1) matrix, for reference checks."""
-        return self.op.to_dense()
 
     def embed(self, param, b=None) -> np.ndarray:
         """First row of the embedding circulant; ``b`` overrides the free
@@ -211,25 +207,6 @@ def tph_alpha(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def fft_flip(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The FFT flip identity of order 2n, as (index, twiddle).
-
-    With w = exp(i*pi/n), W the order-2n Fourier matrix, F_n its first n
-    rows, P the gather k -> -k mod 2n and D = diag(w^((n-1)k)), the
-    exchange J of order n satisfies J F_n W = F_n W P D: reversing the
-    output of a windowed inverse transform re-indexes its frequency slots.
-    ``index`` is P's gather, and ``twiddle[k]`` is w^(-(n-1)k), the entry
-    of D at -k, so (D c)[-k] is ``twiddle * c[index]``.
-    """
-    k = np.arange(2 * n)
-    index = -k % (2 * n)
-    twiddle = np.exp(-1j * np.pi * ((n - 1) * k % (2 * n)) / n)
-    index.setflags(write=False)
-    twiddle.setflags(write=False)
-    return index, twiddle
-
-
-@lru_cache(maxsize=64)
 def tph_program(n: int) -> BilinearProgram:
     """4n-3 multiplications on raw parameters (t_1..t_{2n-1}, h_1..h_{2n-1}).
 
@@ -240,14 +217,17 @@ def tph_program(n: int) -> BilinearProgram:
     shift.
 
     Both branches share the forward transform X of the padded vector and
-    the Toeplitz decoder, so a product takes one transform each way.  By
-    the flip identity (see :func:`fft_flip`) the reversed Toeplitz product
-    J F_n W (s * X) is F_n W ((P D s) * (P X)), and P D W = W Q with Q the
-    gather q -> (n+1-q) mod 2n.  So the Hankel slots read X at -k, their
-    coefficients are the transform of Q, the embedding and J applied to
-    h + a, and the decoder sums the two slot vectors before its one
-    windowed inverse transform.  P fixes slot 0, so the Hankel branch's
-    frequency-0 slot stays the inactive one.
+    the Toeplitz decoder, so a product takes one transform each way.  The
+    FFT flip identity moves the Hankel branch's output reversal onto its
+    slots: with w = exp(i*pi/n), W the order-2n Fourier matrix, F_n its
+    first n rows, P the gather k -> -k mod 2n and D = diag(w^((n-1)k)),
+    the exchange J of order n satisfies J F_n W = F_n W P D, and
+    P D W = W Q with Q the gather q -> (n+1-q) mod 2n.  So the reversed
+    Toeplitz product J F_n W (s * X) is F_n W ((P D s) * (P X)): the Hankel
+    slots read X at -k, their coefficients are the transform of Q, the
+    embedding and J applied to h + a, and the decoder sums the two slot
+    vectors before its one windowed inverse transform.  P fixes slot 0, so
+    the Hankel branch's frequency-0 slot stays the inactive one.
     """
     m, k = 2 * n - 1, np.arange(2 * n)
     shift = Dense(np.concatenate([tph_alpha(n), np.zeros(m)])[None, :])
@@ -261,20 +241,17 @@ def tph_program(n: int) -> BilinearProgram:
                       np.concatenate([np.ones(m), np.full(m, sign)]))
         return compose(plus, both)
 
-    # Q @ embedding @ J: the embedded first row of the reversed parameters
-    # at (n+1-q) mod 2n is h_{2n-1} at q = 0, the free entry -sum(h) at
-    # q = 1 and h_{q-1} at q >= 2 (1-indexed), listed in sorted order
-    hankel_row = Select(
-        (2 * n, m),
-        np.concatenate([[0], np.ones(m, dtype=np.intp), k[2:]]),
-        np.concatenate([[m - 1], rows, rows[:-1]]),
-        np.concatenate([[1.0], -np.ones(m), np.ones(m - 1)]))
+    # Q @ embedding @ J: the embedding's entries with Q's row gather and
+    # J's column reversal
+    emb = toeplitz_embedding(n).op
+    hankel_row = Select((2 * n, m), (n + 1 - emb.rows) % (2 * n),
+                        m - 1 - emb.cols, emb.vals)
     tp = toeplitz_program(n)
     active = np.concatenate([tp.active, tp.active])
     active[2 * n + 1] = False  # frequency 1 of the Toeplitz branch
     # the Hankel slots read X[-k], the Toeplitz slots X[k]; [I I] sums
     # slot k of each branch into row k
-    both_reads = Select.take(2 * n, np.concatenate([fft_flip(n)[0], k]))
+    both_reads = Select.take(2 * n, np.concatenate([-k % (2 * n), k]))
     both_sum = Select((2 * n, 4 * n), np.repeat(k, 2),
                       np.stack([k, k + 2 * n], axis=1).reshape(-1))
     return BilinearProgram(

@@ -72,13 +72,13 @@ def test_fft_flip_identity():
     # mod 2n; Q, the embedding and J form tph_program's Hankel index map
     for n in (1, 2, 3, 4, 7, 16):
         w = transform.fourier_matrix(2 * n)
-        index, twiddle = kernels.fft_flip(n)
-        p = np.eye(2 * n)[index]
-        d = np.diag(twiddle[index])
+        k = np.arange(2 * n)
+        p = np.eye(2 * n)[-k % (2 * n)]
+        d = np.diag(np.exp(1j * np.pi * (n - 1) * k / n))
         np.testing.assert_allclose(w[:n][::-1], w[:n] @ p @ d, atol=1e-12)
         q = np.eye(2 * n)[(n + 1 - np.arange(2 * n)) % (2 * n)]
         np.testing.assert_allclose(p @ d @ w, w @ q, atol=1e-12)
-        emb = kernels.toeplitz_embedding(n).matrix
+        emb = kernels.toeplitz_embedding(n).op.to_dense()
         hankel = kernels.tph_program(n).enc_param.to_dense()[:2 * n]
         m = 2 * n - 1
         alpha = np.concatenate([kernels.tph_alpha(n), np.zeros(m)])
@@ -92,7 +92,7 @@ def test_embed_applies_embedding_matrix():
     for n in (1, 2, 3, 8, 31):
         emb = kernels.toeplitz_embedding(n)
         param = gaussian(rng, 2 * n - 1)
-        want = emb.matrix @ param
+        want = emb.op.to_dense() @ param
         np.testing.assert_allclose(emb.embed(param), want, rtol=0, atol=1e-12)
         b = gaussian(rng, 1)[0]
         want[n] = b
@@ -310,7 +310,7 @@ def test_tph_shifted_embedding_loses_two_frequencies():
 def test_tph_alpha_is_the_embedding_frequency_1_row():
     for n in range(1, 17):
         want = (transform.fourier_matrix(2 * n)[1]
-                @ kernels.toeplitz_embedding(n).matrix / (2 * n))
+                @ kernels.toeplitz_embedding(n).op.to_dense() / (2 * n))
         np.testing.assert_allclose(kernels.tph_alpha(n), want, rtol=0, atol=1e-12)
 
 

@@ -338,6 +338,27 @@ def test_direct_tail_stays_matrix_free():
     assert count == wcount == sm.param_dim(m)
 
 
+def test_prepare_holds_its_coefficients_once():
+    # Prepared takes the coefficient array that prepare builds, with no copy
+    rng = np.random.default_rng(16)
+
+    def c32_t32_h32():
+        return sm.MultilevelRep((random_instance("circulant", 32, rng),
+                                 random_instance("toeplitz", 32, rng),
+                                 random_instance("hankel", 32, rng)))
+
+    multilevel.prepare(c32_t32_h32())  # the programs are built and warm
+    m = c32_t32_h32()
+    tracemalloc.start()
+    try:
+        coef = multilevel.prepare(m).coef
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coef.nbytes == 16 * multilevel.multilevel_program(m).r
+    assert peak < 1.5 * coef.nbytes
+
+
 def test_each_map_is_one_kron_with_a_factor_per_level():
     rng = np.random.default_rng(15)
     m = sm.MultilevelRep(tuple(random_instance("circulant", n, rng)

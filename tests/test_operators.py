@@ -242,13 +242,14 @@ def test_as_operator_keeps_operators_and_wraps_arrays():
 
 def test_no_unbounded_caches():
     names = [info.name for info in pkgutil.iter_modules(structmv.__path__)]
-    cached = []
+    cached = {}  # by identity: a cached function imported elsewhere is one cache
     for name in names:
         if name == "__main__":
             continue
         module = importlib.import_module(f"structmv.{name}")
         for attr in vars(module).values():
             if callable(attr) and hasattr(attr, "cache_parameters"):
-                cached.append((name, attr.__name__, attr.cache_parameters()["maxsize"]))
-    assert len(cached) >= 10
-    assert [c for c in cached if c[2] is None] == []
+                cached[id(attr)] = (attr.__qualname__,
+                                    attr.cache_parameters()["maxsize"])
+    assert len(cached) == 9
+    assert [c for c in cached.values() if c[1] is None] == []
