@@ -24,10 +24,11 @@ multiplication; the shift is part of the program's parameter encoder, so
 the direct route and a multilevel level run it on the raw 4n-2 parameters
 too.  Its Hankel branch moves the output reversal onto its frequency slots
 (the FFT flip identity), so both branches share one forward and one
-inverse transform.  Sparse is the
-usual support-driven matvec, as one gather, one multiply and one segmented
-sum.  Whether a map applies as a small dense matrix, an index map or
-``np.fft`` is the operators' one rule, the same on both routes.
+inverse transform.  Sparse is the usual support-driven matvec, as one
+gather, one multiply and one segmented sum; a sparse decoder whose rows
+mostly hold one or two entries sums by two gathers instead.  Whether a map
+applies as a small dense matrix, an index map or ``np.fft`` is the
+operators' one rule, the same on both routes.
 """
 
 from __future__ import annotations

@@ -18,13 +18,11 @@ keep an operator of at most SMALL_DENSE entries as its dense matrix.  A
 bilinear program keeps each of its maps as :func:`stored` gives it, which
 also keeps a small index map other than a gather as its dense matrix.
 
-An index map (:class:`Select`) applies in one of three ways.  A map whose
-rows hold at most one entry each is a gather, followed by a scatter if
-some rows are empty.  A map of which at least half of the rows hold one
-or two entries is two gathers, one per entry, from the input with a zero
-row appended, and its rows of three or more entries are one segmented
-sum.  Any other map is one segmented sum (``np.add.reduceat``), whose
-cost per row is what the two gathers avoid.
+An index map (:class:`Select`) whose row k holds one entry for every k
+applies as a gather, and any other by one plan.  If at least half of its
+rows hold one or two entries, those rows are two gathers, one per entry,
+from the input with a zero row appended, and its longer rows are one
+segmented sum (``np.add.reduceat``); if not, all of its entries are.
 """
 
 from __future__ import annotations
@@ -90,20 +88,9 @@ class Select(Operator):
     """Index map in coordinate form: entry (rows[k], cols[k]) holds
     vals[k], every other entry is zero.  The builders' index maps hold
     0/+-1 entries.  Entries are summed per position and kept sorted by
-    row.  A map applies in one of three ways:
-
-    - rows with one entry each apply as a gather, and as a gather and a
-      scatter if some rows are empty.  ``is_gather`` is True when row k
-      has one entry for every k, so that applying the map is one gather;
-    - if at least half of the rows have one or two entries, those rows
-      apply as two gathers, x[c0] * w0 + xe[c1] * w1, where ``xe`` is x
-      with a zero row appended and c1 reads that row for a row of one
-      entry.  A gather skips its weights when all of them are 1.  Rows
-      with three or more entries take one segmented sum over their own
-      entries;
-    - otherwise every row takes one segmented sum.
-
-    The two-gather table is built on the first ``apply`` and kept, so
+    row.  ``is_gather`` is True when row k has one entry for every k, so
+    that applying the map is one gather.  Any other map applies by its
+    :class:`_Pairs` plan, which the first ``apply`` builds and keeps, so
     the maps that :func:`compose` fuses along the way never build one.
     Entries that arrive in strictly increasing (row, col) order are kept
     as they are; others are sorted once."""
@@ -126,14 +113,8 @@ class Select(Operator):
         self.is_gather = (len(self.rows) == m
                           and np.array_equal(self.rows, np.arange(m)))
         self._unit = bool(np.all(self.vals == 1))
-        # the rows are sorted, so a row starts where it differs from the last
-        first = np.ones(len(self.rows), dtype=bool)
-        first[1:] = self.rows[1:] != self.rows[:-1]
-        self._starts = np.flatnonzero(first)
-        self._out_rows = self.rows[self._starts]
-        self._one_per_row = len(self._starts) == len(self.rows)
-        # the two-gather table: built by the first apply, () if unused
-        self._pairs = () if self._one_per_row else None
+        # the plan of a map that is not a gather: built by the first apply
+        self._pairs = None
 
     @classmethod
     def take(cls, n: int, index) -> "Select":
@@ -151,34 +132,14 @@ class Select(Operator):
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x)
-        if self._pairs is None:
-            self._pairs = self._pair_table()
-        if self._pairs:
-            return self._pairs.apply(x)
-        terms = x[self.cols]
-        if not self._unit:
-            terms = terms * self.vals.reshape((-1,) + (1,) * (x.ndim - 1))
         if self.is_gather:
+            terms = x[self.cols]
+            if not self._unit:
+                terms = terms * self.vals.reshape((-1,) + (1,) * (x.ndim - 1))
             return terms
-        out = np.zeros((self.shape[0],) + x.shape[1:], dtype=terms.dtype)
-        if self._one_per_row:
-            out[self.rows] = terms
-        elif len(terms):
-            out[self._out_rows] = np.add.reduceat(terms, self._starts, axis=0)
-        return out
-
-    def _pair_table(self):
-        """The two-gather table, or () if fewer than half of the rows
-        hold one or two entries."""
-        ends = np.empty_like(self._starts)
-        ends[:-1] = self._starts[1:]
-        ends[-1] = len(self.rows)
-        counts = ends - self._starts  # entries per nonempty row
-        short = counts <= 2
-        n_short = np.count_nonzero(short)
-        if 2 * n_short < self.shape[0]:
-            return ()
-        return _Pairs(self, counts, short, n_short)
+        if self._pairs is None:
+            self._pairs = _Pairs(self)
+        return self._pairs.apply(x)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -199,68 +160,83 @@ class Select(Operator):
 
 
 class _Pairs:
-    """The two-gather form of a :class:`Select`: row r is
-    xe[c0[r]] * w0[r] + xe[c1[r]] * w1[r], then the ``long`` rows, of
-    three or more entries, are overwritten by their segmented sums.
-    Column n is the zero row of ``xe``; when no row reads it, ``zero`` is
-    False and x serves as it is.  A long row reads its first entry, which
-    its sum then overwrites.  A weight vector whose entries are all 1 is
-    not kept: w0 is judged on the rows of one or two entries, w1 on the
-    rows of two and the sums' weights on the long rows' own entries.  c1
-    is None when no row has two entries."""
+    """The plan by which a :class:`Select` that is not a gather applies.
+    If at least half of the rows hold one or two entries, row r is
+    xe[c0[r]] * w0[r] + xe[c1[r]] * w1[r], then the ``long`` rows, of three
+    or more entries, are overwritten by their segmented sums.  Column n is
+    the zero row of ``xe``; when no row reads it, ``zero`` is False and x
+    serves as it is.  A long row reads its first entry, which its sum then
+    overwrites.  A weight vector whose entries are all 1 is not kept: w0 is
+    judged on the rows of one or two entries, w1 on the rows of two and the
+    sums' weights on the long rows' own entries.  c1 is None when no row
+    has two entries.  With fewer short rows the gathers cost more than they
+    save: c0 is None, the output starts from zeros and every nonempty row
+    is long, one segmented sum over views of all of the map's entries."""
 
-    __slots__ = ("c0", "c1", "w0", "w1", "zero", "long", "unit")
+    __slots__ = ("m", "c0", "c1", "w0", "w1", "zero", "long", "unit")
 
-    def __init__(self, op: Select, counts, short, n_short):
+    def __init__(self, op: Select):
         m, n = op.shape
-        self.unit = op._unit
-        starts, rows = op._starts, op._out_rows
-        self.c0 = np.full(m, n)
-        self.c0[rows] = op.cols[starts]
-        two = counts == 2
-        n_two = np.count_nonzero(two)
-        self.c1 = self.w0 = self.w1 = None
-        if n_two:
-            second, rows2 = starts[two] + 1, rows[two]
-            self.c1 = np.full(m, n)
-            self.c1[rows2] = op.cols[second]
-            if np.any(op.vals[second] != 1):
-                self.w1 = np.zeros(m)
-                self.w1[rows2] = op.vals[second]
-        # a long row's first weight is never read: its sum overwrites it
-        if np.any(op.vals[starts[short]] != 1):
-            self.w0 = np.zeros(m)
-            self.w0[rows] = op.vals[starts]
-        # c0 reads the zero row at an empty row, c1 at every row that has
-        # no second entry
-        self.zero = len(starts) < m or 0 < n_two < m
-        self.long = None
-        if n_short < len(starts):
-            long = ~short
-            entries = np.repeat(long, counts)
+        self.m, self.unit = m, op._unit
+        per_row = np.bincount(op.rows, minlength=m)
+        rows = np.flatnonzero(per_row)  # the nonempty rows
+        counts = per_row[rows]  # entries per nonempty row
+        # the rows are sorted, so each row's entries follow the previous row's
+        starts = np.cumsum(counts) - counts
+        short = counts <= 2
+        self.c0 = self.c1 = self.w0 = self.w1 = self.long = None
+        self.zero = False
+        if 2 * np.count_nonzero(short) < m:
+            short[:] = False  # too few short rows for the gathers to pay
+        else:
+            self.c0 = np.full(m, n)
+            self.c0[rows] = op.cols[starts]
+            two = counts == 2
+            n_two = np.count_nonzero(two)
+            if n_two:
+                second, rows2 = starts[two] + 1, rows[two]
+                self.c1 = np.full(m, n)
+                self.c1[rows2] = op.cols[second]
+                if np.any(op.vals[second] != 1):
+                    self.w1 = np.zeros(m)
+                    self.w1[rows2] = op.vals[second]
+            # a long row's first weight is never read: its sum overwrites it
+            if np.any(op.vals[starts[short]] != 1):
+                self.w0 = np.zeros(m)
+                self.w0[rows] = op.vals[starts]
+            # c0 reads the zero row at an empty row, c1 at every row that
+            # has no second entry
+            self.zero = len(starts) < m or 0 < n_two < m
+        long = ~short
+        if long.any():
+            entries = slice(None) if self.c0 is None else np.repeat(long, counts)
             sizes = counts[long]
             vals = op.vals[entries]
             self.long = (rows[long], op.cols[entries],
-                         vals if np.any(vals != 1) else None,
+                         vals if not self.unit and np.any(vals != 1) else None,
                          np.cumsum(sizes) - sizes)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         shape = (-1,) + (1,) * (x.ndim - 1)
-        if not self.unit and x.dtype.kind not in "fc":
-            x = x.astype(float)  # so that the weights multiply in place
-        xe = x
-        if self.zero:
-            xe = np.empty((len(x) + 1,) + x.shape[1:], x.dtype)
-            xe[:-1] = x
-            xe[-1] = 0
-        out = xe[self.c0]
-        if self.w0 is not None:
-            out *= self.w0.reshape(shape)
-        if self.c1 is not None:
-            second = xe[self.c1]
-            if self.w1 is not None:
-                second *= self.w1.reshape(shape)
-            out += second
+        if not self.unit and x.dtype.char not in "dD":
+            # promoted as x * vals would be, so the weights multiply in place
+            x = x.astype(np.promote_types(x.dtype, float))
+        if self.c0 is None:
+            out = np.zeros((self.m,) + x.shape[1:], x.dtype)
+        else:
+            xe = x
+            if self.zero:
+                xe = np.empty((len(x) + 1,) + x.shape[1:], x.dtype)
+                xe[:-1] = x
+                xe[-1] = 0
+            out = xe[self.c0]
+            if self.w0 is not None:
+                out *= self.w0.reshape(shape)
+            if self.c1 is not None:
+                second = xe[self.c1]
+                if self.w1 is not None:
+                    second *= self.w1.reshape(shape)
+                out += second
         if self.long is not None:
             rows, cols, vals, starts = self.long
             terms = x[cols]

@@ -75,14 +75,18 @@ def _random_select(rng, m, n, sizes, unit):
     return Select((m, n), rows, cols, vals)
 
 
-@pytest.mark.parametrize("mix", ["all short", "mostly short", "mostly long"])
+@pytest.mark.parametrize("mix", ["all short", "mostly short", "mostly long",
+                                 "one or none", "empty"])
 def test_select_rows_of_any_length_match_to_dense(mix):
-    """Rows of 0, 1, 2 and more entries, in maps that apply by two gathers
-    and by one segmented sum, on inputs with and without batch axes."""
+    """Rows of 0, 1, 2 and more entries, in maps that apply by two gathers,
+    by one gather that reads the zero row and by one segmented sum, on
+    inputs with and without batch axes and on integers."""
     rng = np.random.default_rng(7)
     p = {"all short": [0, 0.5, 0.5, 0, 0],
          "mostly short": [0.1, 0.3, 0.35, 0.15, 0.1],
-         "mostly long": [0.1, 0.1, 0.1, 0.3, 0.4]}[mix]
+         "mostly long": [0.1, 0.1, 0.1, 0.3, 0.4],
+         "one or none": [0.3, 0.7, 0, 0, 0],
+         "empty": [1, 0, 0, 0, 0]}[mix]
     for trial in range(30):
         m, n = rng.integers(1, 40, size=2)
         sizes = rng.choice([0, 1, 2, 3, 6], size=m, p=p)
@@ -93,6 +97,9 @@ def test_select_rows_of_any_length_match_to_dense(mix):
             out = op.apply(x)
             assert out.shape == (m,) + batch
             assert rel_err(out, np.tensordot(d, x, axes=1)) < 1e-12
+        _exact(op, rng.integers(-50, 50, size=n))
+        if np.any(op.vals != 1):  # weights promote single precision, as d @ x
+            assert op.apply(np.ones(n, np.float32)).dtype == np.float64
     real = Select((3, 4), [0, 0, 1, 2], [1, 2, 3, 0], [1.0, -1.0, 0.5, 2.0])
     np.testing.assert_array_equal(real.apply(np.arange(4)), [-1.0, 1.5, 0.0])
 
@@ -127,6 +134,28 @@ def test_two_gathers_skip_weights_that_are_all_one(n):
     _exact(diff, ints[:n, 0])
     pairs = diff._pairs
     assert pairs.w0 is None and pairs.w1 is not None and pairs.long is None
+
+
+def test_maps_of_mostly_long_rows_build_no_gathers():
+    """The symmetric decoder sums n entries per row, and a sparse decoder
+    of which a third of the rows hold one entry still has fewer than half
+    short: each applies as one segmented sum over all of its entries, with
+    no gather.  Results stay exact."""
+    from structmv.kernels import sparse_program, symmetric_program
+    from structmv.structures import SparsityPattern
+    # row i holds one entry if 3 divides i and four otherwise
+    support = [(i, (i + 7 * k) % 64) for i in range(64)
+               for k in range(1 if i % 3 == 0 else 4)]
+    sparse = sparse_program(SparsityPattern(64, support)).dec
+    rng = np.random.default_rng(9)
+    for op in (symmetric_program(64).dec, sparse):
+        assert isinstance(op, Select) and not op.is_gather
+        ints = rng.integers(-50, 50, size=(op.shape[1], 2))
+        _exact(op, ints[:, 0])
+        _exact(op, ints[:, 0] + 1j * ints[:, 1])
+        _exact(op, ints.astype(float))
+        pairs = op._pairs
+        assert pairs.c0 is None and pairs.c1 is None and pairs.long is not None
 
 
 def test_symmetric_vector_encoder_needs_no_segmented_sum(monkeypatch):
