@@ -10,8 +10,8 @@ encoded once, multiplies the encoded input in place.  :func:`apply` encodes
 the parameters on each call and goes through the same stage.
 
 The three maps are operators (:mod:`structmv.operators`): Fourier
-transforms, index maps, and their compositions, Kronecker products and
-stacks, with no matrix formed beyond ``operators.SMALL_DENSE`` entries.
+transforms, index maps, and their compositions and Kronecker products,
+with no matrix formed beyond ``operators.SMALL_DENSE`` entries.
 Arrays passed in are kept as dense matrices.  The one combinator here,
 :func:`kron`, composes any number of programs by one Kronecker product of
 their maps per map.

@@ -20,9 +20,9 @@ pair, a_ij (v_i + v_j), and one per diagonal entry,
 (a_ii - sum_{j != i} a_ij) v_i, with index maps only.  Toeplitz-plus-Hankel
 shifts a multiple of the all-ones matrix between its two components so that
 the Toeplitz part's frequency-1 slot vanishes as well, saving a second
-multiplication; the shift is part of the program's parameter encoder, so
-the direct route and a multilevel level run it on the raw 4n-2 parameters
-too.  Its Hankel branch moves the output reversal onto its frequency slots
+multiplication; the shift is an index map on the slots of the program's
+parameter encoder, so the direct route and a multilevel level run it on
+the raw 4n-2 parameters too.  Its Hankel branch moves the output reversal onto its frequency slots
 (the FFT flip identity), so both branches share one forward and one
 inverse transform.  Sparse is the usual support-driven matvec, as one
 gather, one multiply and one segmented sum; a sparse decoder whose rows
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import multilevel  # a cycle: neither reads the other at import
 from .bilinear import BilinearProgram
-from .operators import Dense, Fourier, Select, VStack, compose
+from .operators import Dense, Fourier, Kron, Select, compose
 from .structures import (
     KINDS,
     CirculantRep,
@@ -189,33 +189,14 @@ def symmetric_program(n: int) -> BilinearProgram:
 
 
 @lru_cache(maxsize=64)
-def tph_alpha(n: int) -> np.ndarray:
-    """Row functional giving the all-ones shift for Toeplitz-plus-Hankel.
-
-    alpha @ t is the frequency-1 transform coefficient of the Toeplitz
-    embedding divided by 2n; subtracting (alpha @ t) times the all-ones
-    parameter vector from t makes that coefficient vanish identically.
-    Each embedding entry (r, q) adds its value times the frequency-1
-    twiddle exp(2*pi*i*r/(2n)) to alpha[q].
-    """
-    emb = toeplitz_embedding(n).op
-    twiddle = np.exp(1j * np.pi * emb.rows / n)
-    row = np.zeros(2 * n - 1, dtype=complex)
-    np.add.at(row, emb.cols, emb.vals * twiddle)
-    row /= 2 * n
-    row.setflags(write=False)
-    return row
-
-
-@lru_cache(maxsize=64)
 def tph_program(n: int) -> BilinearProgram:
     """4n-3 multiplications on raw parameters (t_1..t_{2n-1}, h_1..h_{2n-1}).
 
-    The program shifts a = alpha @ t of the all-ones matrix from the
-    Toeplitz to the Hankel component, then sums a Hankel product on h + a
-    and a Toeplitz product on t - a.  The Toeplitz branch has two inactive
-    slots: frequency 0 from its own embedding and frequency 1 from the
-    shift.
+    The program sums a Hankel product on h + a and a Toeplitz product on
+    t - a, with a the multiple of the all-ones matrix, which is both
+    Toeplitz and Hankel, chosen so that the Toeplitz part's frequency-1
+    slot vanishes.  The Toeplitz branch has two inactive slots: frequency 0
+    from its own embedding and frequency 1 from the shift.
 
     Both branches share the forward transform X of the padded vector and
     the Toeplitz decoder, so a product takes one transform each way.  The
@@ -226,27 +207,35 @@ def tph_program(n: int) -> BilinearProgram:
     P D W = W Q with Q the gather q -> (n+1-q) mod 2n.  So the reversed
     Toeplitz product J F_n W (s * X) is F_n W ((P D s) * (P X)): the Hankel
     slots read X at -k, their coefficients are the transform of Q, the
-    embedding and J applied to h + a, and the decoder sums the two slot
+    embedding E and J applied to h + a, and the decoder sums the two slot
     vectors before its one windowed inverse transform.  P fixes slot 0, so
     the Hankel branch's frequency-0 slot stays the inactive one.
+
+    The parameter encoder is one index map to Q E J h and E t, one batched
+    transform of both, and the shift, an index map on the slots.  With
+    T = W E t and H = W Q E J h, the shift is a = T_1 / (2n), and E 1 is
+    1 - 2n e_n, so W E 1 = -2n (-1)^k and W Q E 1 = W (1 - 2n e_1) =
+    -2n w^k at k != 0 (both are 0 at k = 0).  Slot k != 0 of the Toeplitz
+    branch is T_k + (-1)^k T_1, which is 0 at k = 1, and of the Hankel
+    branch H_k - w^k T_1.
     """
     m, k = 2 * n - 1, np.arange(2 * n)
-    shift = Dense(np.concatenate([tph_alpha(n), np.zeros(m)])[None, :])
-    rows = np.arange(m)
-
-    def shifted(component, sign):
-        """(m, 4n-2): the component's m entries plus sign * (alpha @ t)."""
-        both = VStack([Select.take(2 * m, component), shift])
-        plus = Select((m, m + 1), np.concatenate([rows, rows]),
-                      np.concatenate([rows, np.full(m, m)]),
-                      np.concatenate([np.ones(m), np.full(m, sign)]))
-        return compose(plus, both)
-
-    # Q @ embedding @ J: the embedding's entries with Q's row gather and
-    # J's column reversal
+    # Q E J on h, with Q's row gather and J's column reversal applied to
+    # the embedding's entries, then E on t
     emb = toeplitz_embedding(n).op
-    hankel_row = Select((2 * n, m), (n + 1 - emb.rows) % (2 * n),
-                        m - 1 - emb.cols, emb.vals)
+    embed = Select((4 * n, 2 * m),
+                   np.concatenate([(n + 1 - emb.rows) % (2 * n),
+                                   2 * n + emb.rows]),
+                   np.concatenate([2 * m - 1 - emb.cols, emb.cols]),
+                   np.concatenate([emb.vals, emb.vals]))
+    # slot j is itself plus gain[j] times slot 2n+1, the Toeplitz branch's
+    # frequency 1, which thereby cancels to an empty row
+    gain = np.concatenate([-np.exp(1j * np.pi * k / n), (-1.0) ** k])
+    gain[[0, 2 * n]] = 0
+    slots = np.arange(4 * n)
+    shift = Select((4 * n, 4 * n), np.concatenate([slots, slots]),
+                   np.concatenate([slots, np.full(4 * n, 2 * n + 1)]),
+                   np.concatenate([np.ones(4 * n), gain]))
     tp = toeplitz_program(n)
     active = np.concatenate([tp.active, tp.active])
     active[2 * n + 1] = False  # frequency 1 of the Toeplitz branch
@@ -256,9 +245,9 @@ def tph_program(n: int) -> BilinearProgram:
     both_sum = Select((2 * n, 4 * n), np.repeat(k, 2),
                       np.stack([k, k + 2 * n], axis=1).reshape(-1))
     return BilinearProgram(
-        enc_param=VStack([
-            compose(Fourier(2 * n), hankel_row, shifted(m + rows, 1.0)),
-            compose(tp.enc_param, shifted(rows, -1.0))]),
+        # I_2 (x) W: one batched transform of both branches
+        enc_param=compose(shift, Kron([Dense(np.eye(2)), Fourier(2 * n)]),
+                          embed),
         enc_vec=compose(both_reads, tp.enc_vec),
         dec=compose(tp.dec, both_sum),
         active=active,

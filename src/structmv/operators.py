@@ -1,11 +1,12 @@
 """Matrix-free linear maps for the three maps of a bilinear program.
 
 Every encoder and decoder the builders need is a Fourier transform, an
-index map (embedding, exchange, gather, scatter, sum of blocks), a
-Kronecker product or a vertical stack of these, so each is stored in that
-form and applied without forming its matrix.  A Fourier transform may be
-windowed to its first rows and first columns, which is how a vector is
-zero-padded before a transform and its first outputs kept after one.
+index map (embedding, exchange, gather, scatter, sum of blocks, gauge
+shift), or a product or Kronecker product of these, so each is stored in
+that form and applied without forming its matrix.  A Fourier transform
+may be windowed to its first rows and first columns, which is how a
+vector is zero-padded before a transform and its first outputs kept
+after one.
 Each operator has ``shape`` (rows, columns), ``apply(x)`` acting on the
 first axis of ``x`` with any trailing batch axes, and ``to_dense()`` for
 tests and small reference checks.  ``op @ x`` is ``op.apply(x)``.  A
@@ -87,8 +88,9 @@ class Fourier(Operator):
 class Select(Operator):
     """Index map in coordinate form: entry (rows[k], cols[k]) holds
     vals[k], every other entry is zero.  The builders' index maps hold
-    0/+-1 entries.  Entries are summed per position and kept sorted by
-    row.  ``is_gather`` is True when row k has one entry for every k, so
+    0/+-1 entries, except the Toeplitz-plus-Hankel gauge shift, whose
+    weights are complex.  Entries are summed per position and kept sorted
+    by row.  ``is_gather`` is True when row k has one entry for every k, so
     that applying the map is one gather.  Any other map applies by its
     :class:`_Pairs` plan, which the first ``apply`` builds and keeps, so
     the maps that :func:`compose` fuses along the way never build one.
@@ -98,15 +100,21 @@ class Select(Operator):
     def __init__(self, shape, rows, cols, vals=None):
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
         cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-        vals = (np.ones(len(rows)) if vals is None
-                else np.asarray(vals, dtype=float).reshape(-1))
+        vals = np.ones(len(rows)) if vals is None else np.asarray(vals)
+        vals = vals.astype(np.promote_types(vals.dtype, float),
+                           copy=False).reshape(-1)
         m, n = shape
         key = rows * max(n, 1) + cols
         if np.any(key[1:] <= key[:-1]):
-            key, inverse = np.unique(key, return_inverse=True)
-            vals = np.bincount(inverse.reshape(-1), weights=vals,
-                               minlength=len(key))
-            rows, cols = key // max(n, 1), key % max(n, 1)
+            # a stable sort and np.add.at sum a repeated position in input
+            # order (np.add.reduceat would add the first entry last)
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            new = np.concatenate(([True], key[1:] != key[:-1]))
+            summed = np.zeros(np.count_nonzero(new), vals.dtype)
+            np.add.at(summed, np.cumsum(new) - 1, vals[order])
+            first = order[new]
+            rows, cols, vals = rows[first], cols[first], summed
         keep = vals != 0
         self.shape = (m, n)
         self.rows, self.cols, self.vals = rows[keep], cols[keep], vals[keep]
@@ -142,7 +150,7 @@ class Select(Operator):
         return self._pairs.apply(x)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
+        out = np.zeros(self.shape, self.vals.dtype)
         out[self.rows, self.cols] = self.vals
         return out
 
@@ -173,11 +181,12 @@ class _Pairs:
     save: c0 is None, the output starts from zeros and every nonempty row
     is long, one segmented sum over views of all of the map's entries."""
 
-    __slots__ = ("m", "c0", "c1", "w0", "w1", "zero", "long", "unit")
+    __slots__ = ("m", "c0", "c1", "w0", "w1", "zero", "long", "dtype")
 
     def __init__(self, op: Select):
         m, n = op.shape
-        self.m, self.unit = m, op._unit
+        # the weights' dtype, or None when every weight is 1
+        self.m, self.dtype = m, None if op._unit else op.vals.dtype
         per_row = np.bincount(op.rows, minlength=m)
         rows = np.flatnonzero(per_row)  # the nonempty rows
         counts = per_row[rows]  # entries per nonempty row
@@ -198,11 +207,11 @@ class _Pairs:
                 self.c1 = np.full(m, n)
                 self.c1[rows2] = op.cols[second]
                 if np.any(op.vals[second] != 1):
-                    self.w1 = np.zeros(m)
+                    self.w1 = np.zeros(m, op.vals.dtype)
                     self.w1[rows2] = op.vals[second]
             # a long row's first weight is never read: its sum overwrites it
             if np.any(op.vals[starts[short]] != 1):
-                self.w0 = np.zeros(m)
+                self.w0 = np.zeros(m, op.vals.dtype)
                 self.w0[rows] = op.vals[starts]
             # c0 reads the zero row at an empty row, c1 at every row that
             # has no second entry
@@ -213,14 +222,14 @@ class _Pairs:
             sizes = counts[long]
             vals = op.vals[entries]
             self.long = (rows[long], op.cols[entries],
-                         vals if not self.unit and np.any(vals != 1) else None,
+                         vals if np.any(vals != 1) else None,
                          np.cumsum(sizes) - sizes)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         shape = (-1,) + (1,) * (x.ndim - 1)
-        if not self.unit and x.dtype.char not in "dD":
+        if self.dtype is not None:
             # promoted as x * vals would be, so the weights multiply in place
-            x = x.astype(np.promote_types(x.dtype, float))
+            x = x.astype(np.promote_types(x.dtype, self.dtype), copy=False)
         if self.c0 is None:
             out = np.zeros((self.m,) + x.shape[1:], x.dtype)
         else:
@@ -316,20 +325,6 @@ class Kron(Operator):
 
     def to_dense(self) -> np.ndarray:
         return reduce(np.kron, [f.to_dense() for f in self.factors])
-
-
-class VStack(Operator):
-    """Operators on one input, their outputs concatenated."""
-
-    def __init__(self, ops):
-        self.ops = _flatten(VStack, ops)
-        self.shape = (sum(op.shape[0] for op in self.ops), self.ops[0].shape[1])
-
-    def apply(self, x) -> np.ndarray:
-        return np.concatenate([op.apply(x) for op in self.ops])
-
-    def to_dense(self) -> np.ndarray:
-        return np.vstack([op.to_dense() for op in self.ops])
 
 
 def _flatten(kind, ops) -> tuple:

@@ -22,6 +22,7 @@ from util import (
     run_cli,
     symmetric_shell_maps,
     toeplitz_with_free_entry,
+    tph_shift_row,
 )
 
 
@@ -223,7 +224,7 @@ def test_criterion_5_identity_resolution_suite():
     # (b) shifted Toeplitz embedding has vanishing frequency 0 and 1
     for n in range(2, 13):
         t = gaussian(rng, 2 * n - 1)
-        shift = kernels.tph_alpha(n) @ t
+        shift = tph_shift_row(n) @ t
         coeffs = transform.dft(kernels.toeplitz_embedding(n).embed(t - shift))
         norm = np.linalg.norm(t)
         if abs(coeffs[0]) > 1e-9 * norm or abs(coeffs[1]) > 1e-9 * norm:

@@ -15,6 +15,7 @@ from util import (
     symmetric_shell_maps,
     symmetric_shells,
     toeplitz_with_free_entry,
+    tph_shift_row,
 )
 
 
@@ -81,7 +82,7 @@ def test_fft_flip_identity():
         emb = kernels.toeplitz_embedding(n).op.to_dense()
         hankel = kernels.tph_program(n).enc_param.to_dense()[:2 * n]
         m = 2 * n - 1
-        alpha = np.concatenate([kernels.tph_alpha(n), np.zeros(m)])
+        alpha = np.concatenate([tph_shift_row(n), np.zeros(m)])
         shifted = np.hstack([np.zeros((m, m)), np.eye(m)]) + alpha
         np.testing.assert_allclose(
             hankel, w @ q @ emb[:, ::-1] @ shifted, atol=1e-12)
@@ -300,18 +301,30 @@ def test_tph_shifted_embedding_loses_two_frequencies():
     rng = np.random.default_rng(5)
     for n in (2, 3, 5, 8):
         t = gaussian(rng, 2 * n - 1)
-        shift = kernels.tph_alpha(n) @ t
+        shift = tph_shift_row(n) @ t
         coeffs = transform.dft(kernels.toeplitz_embedding(n).embed(t - shift))
         scale = np.abs(t).max()
         assert abs(coeffs[0]) <= 1e-9 * scale
         assert abs(coeffs[1]) <= 1e-9 * scale
 
 
-def test_tph_alpha_is_the_embedding_frequency_1_row():
-    for n in range(1, 17):
-        want = (transform.fourier_matrix(2 * n)[1]
-                @ kernels.toeplitz_embedding(n).op.to_dense() / (2 * n))
-        np.testing.assert_allclose(kernels.tph_alpha(n), want, rtol=0, atol=1e-12)
+def test_tph_gauge_shift_is_a_slot_index_map():
+    # with X = W E t and Y = W Q E J h, slot k != 0 of the Toeplitz branch
+    # is X_k + (-1)^k X_1 and of the Hankel branch Y_k - w^k X_1
+    rng = np.random.default_rng(4)
+    for n in list(range(1, 18)) + [33, 64]:
+        m, k = 2 * n - 1, np.arange(2 * n)
+        w = transform.fourier_matrix(2 * n)
+        emb = kernels.toeplitz_embedding(n).op.to_dense()
+        q = np.eye(2 * n)[(n + 1 - k) % (2 * n)]
+        t, h = gaussian(rng, m), gaussian(rng, m)
+        x, y = w @ emb @ t, w @ q @ emb @ h[::-1]
+        coef = kernels.tph_program(n).enc_param @ np.concatenate([t, h])
+        want = np.concatenate([y - w[1] * x[1], x + (-1.0) ** k * x[1]])
+        want[[0, 2 * n]] = y[0], x[0]
+        np.testing.assert_allclose(coef, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+        assert coef[2 * n + 1] == 0
 
 
 def test_tph_gauge_shift_preserves_sum():
@@ -319,7 +332,7 @@ def test_tph_gauge_shift_preserves_sum():
     n = 4
     t = gaussian(rng, 2 * n - 1)
     h = gaussian(rng, 2 * n - 1)
-    shift = kernels.tph_alpha(n) @ t
+    shift = tph_shift_row(n) @ t
     before = oracle.dense(_tph(t, h, n))
     after = oracle.dense(_tph(t - shift, h + shift, n))
     assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
@@ -336,6 +349,28 @@ def test_direct_tph_cancelling_components_give_zero():
     assert np.abs(oracle.dense(rep)).max() < 1e-12 * abs(t[0])
     out, _ = kernels.direct_matvec(rep, gaussian(rng, n))
     assert np.abs(out).max() < 1e-9 * abs(t[0])
+
+
+@pytest.mark.parametrize("n", [16, 17, 31, 64, 512])
+def test_tph_above_the_dense_threshold(n):
+    # from n = 17 the parameter encoder is an index map, a batched
+    # transform and the slot shift, not one dense matrix
+    rng = np.random.default_rng(n)
+    m = random_instance("toeplitz_plus_hankel", n, rng)
+    program = kernels.tph_program(n)
+    assert isinstance(program.enc_param, operators.Dense) == (n <= 16)
+    params = kernels.single_level_params(m)
+    v = gaussian(rng, (n, 3))
+    dense = oracle.dense(m)
+    for block in (v[:, 0], v):
+        got, count = bilinear.apply(program, params, block)
+        direct, dcount = kernels.direct_matvec(m, block)
+        assert rel_err(got, dense @ block) < 1e-9
+        assert rel_err(direct, dense @ block) < 1e-9
+        np.testing.assert_array_equal(got, direct)
+        assert count == dcount == (4 * n - 3) * (1 if block.ndim == 1 else 3)
+    report = bilinear.prune_check(program)
+    assert report.match and report.measured == program.count == 4 * n - 3
 
 
 # ---------------------------------------------------------------------------

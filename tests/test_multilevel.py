@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 import structmv as sm
 from structmv import bilinear, kernels, multilevel, oracle
-from structmv.operators import Dense, Kron
+from structmv.operators import SMALL_DENSE, Compose, Dense, Kron
 from util import (
     SINGLE_LEVEL, SRC, check_prepared_block, gaussian, random_instance, rel_err,
 )
@@ -207,19 +208,23 @@ def test_three_level_every_head(head):
 
 def test_tph_level_uses_gauge_fixed_coordinates():
     rng = np.random.default_rng(7)
-    level = random_instance("toeplitz_plus_hankel", 2, rng)
-    p = kernels.single_level_program(level)
-    params = kernels.single_level_params(level)
-    assert p.d_param == len(params) == 6  # the raw 4n-2 parameters
-    got, count = bilinear.apply(p, params, gaussian(rng, 2))
-    assert count == p.count == 5  # 4n-3 gauge-fixed coordinates
-    # the slot coefficients depend on the gauge class only: shifting the
-    # all-ones matrix between the components leaves every one unchanged
-    want = bilinear.coefficients(p, params)
-    shift = complex(*rng.standard_normal(2))
-    gauged = params + shift * np.concatenate([-np.ones(3), np.ones(3)])
-    np.testing.assert_allclose(bilinear.coefficients(p, gauged), want,
-                               rtol=0, atol=1e-12 * np.abs(want).max())
+    # a dense parameter encoder at n = 2, a structured one at 17 and 64
+    for n in (2, 17, 64):
+        level = random_instance("toeplitz_plus_hankel", n, rng)
+        p = kernels.single_level_program(level)
+        params = kernels.single_level_params(level)
+        assert p.d_param == len(params) == 4 * n - 2  # the raw parameters
+        got, count = bilinear.apply(p, params, gaussian(rng, n))
+        assert count == p.count == 4 * n - 3  # gauge-fixed coordinates
+        # the slot coefficients depend on the gauge class only: shifting
+        # the all-ones matrix between the components leaves every one
+        # unchanged
+        want = bilinear.coefficients(p, params)
+        shift = complex(*rng.standard_normal(2))
+        ones = np.ones(2 * n - 1)
+        gauged = params + shift * np.concatenate([-ones, ones])
+        np.testing.assert_allclose(bilinear.coefficients(p, gauged), want,
+                                   rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_tph_level_enters_on_raw_parameters():
@@ -479,3 +484,42 @@ def test_small_levels_never_import_numpy_fft():
     done = subprocess.run([sys.executable, "-c", _SMALL_LEVELS], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# the matrices of the kron benchmark workload; each sparse level has a
+# quarter of its entries in its support
+KRON_SHAPES = ("C32xC32", "T16xT16", "H16xH16", "T16xC16xH4", "C8xC8xC8xC2",
+               "S8xT16", "Sp16xC16", "TpH8xT8", "T8xC8xH4", "C4xC4xC4xC2",
+               "S4xT8", "TpH4xSp8")
+TAGS = {"C": "circulant", "T": "toeplitz", "H": "hankel", "S": "symmetric",
+        "TpH": "toeplitz_plus_hankel", "Sp": "sparse"}
+
+
+def _parts(op):
+    """``op`` and every operator inside it."""
+    yield op
+    inner = op.ops if isinstance(op, Compose) else (
+        op.factors if isinstance(op, Kron) else ())
+    for part in inner:
+        yield from _parts(part)
+
+
+def test_no_stored_map_holds_a_large_dense_matrix():
+    # program maps are structured operators: a dense matrix anywhere in a
+    # map holds at most SMALL_DENSE entries, so no map grows as O(n^2)
+    rng = np.random.default_rng(17)
+    matrices = [random_instance(s, n, rng, density=0.25)
+                for s in SINGLE_LEVEL for n in (1, 17, 64, 512)
+                if s != "symmetric" or n <= 64]
+    for shape in KRON_SHAPES:
+        levels = [re.fullmatch(r"(\D+)(\d+)", part).groups()
+                  for part in shape.split("x")]
+        matrices.append(sm.MultilevelRep(tuple(
+            random_instance(TAGS[tag], int(n), rng, density=0.25)
+            for tag, n in levels)))
+    for m in matrices:
+        program = multilevel.multilevel_program(m)
+        for op in (program.enc_param, program.enc_vec, program.dec):
+            for part in _parts(op):
+                if isinstance(part, Dense):
+                    assert part.matrix.size <= SMALL_DENSE, (m, part.shape)

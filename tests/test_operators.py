@@ -7,7 +7,7 @@ import pytest
 import structmv
 from structmv.kernels import toeplitz_embedding
 from structmv.operators import (
-    Compose, Dense, Fourier, Kron, Select, VStack, as_operator, compose,
+    Compose, Dense, Fourier, Kron, Select, as_operator, compose,
 )
 from structmv.transform import fourier_matrix
 from util import gaussian, rel_err
@@ -52,6 +52,19 @@ def test_select_sums_duplicates_and_drops_zeros():
     cancel = Select((1, 2), [0, 0], [1, 1], [1.0, -1.0])
     assert len(cancel.rows) == 0
     np.testing.assert_array_equal(cancel.apply(np.ones(2)), [0.0])
+    # shuffled entries with repeats sum per position in input order, as
+    # np.add.at does, and come out sorted by (row, column)
+    rng = np.random.default_rng(12)
+    rows, cols = rng.integers(0, 5, 40), rng.integers(0, 6, 40)
+    for vals in (rng.standard_normal(40), gaussian(rng, 40)):
+        op = Select((5, 6), rows, cols, vals)
+        want = np.zeros((5, 6), vals.dtype)
+        np.add.at(want, (rows, cols), vals)
+        assert op.vals.dtype == vals.dtype
+        np.testing.assert_array_equal(op.to_dense(), want)
+        key = op.rows * 6 + op.cols
+        assert np.all(key[1:] > key[:-1])
+        _check(op, rng)
 
 
 def test_select_kinds_apply():
@@ -65,13 +78,19 @@ def test_select_kinds_apply():
         _check(op, rng)
 
 
-def _random_select(rng, m, n, sizes, unit):
-    """An (m, n) index map whose row i holds sizes[i] entries (at most n)."""
+WEIGHTS = {"unit": None, "real": [-1.0, -0.5, 0.5, 1.0],
+           "complex": [1.0, -1.0, 0.5j, -1j, 0.5 - 0.5j]}
+
+
+def _random_select(rng, m, n, sizes, weights):
+    """An (m, n) index map whose row i holds sizes[i] entries (at most n),
+    with weights drawn from WEIGHTS[weights]."""
     sizes = np.minimum(sizes, n)
     rows = np.repeat(np.arange(m), sizes)
     cols = np.concatenate([np.sort(rng.choice(n, k, replace=False))
                            for k in sizes] + [np.zeros(0, dtype=int)])
-    vals = None if unit else rng.choice([-1.0, -0.5, 0.5, 1.0], len(rows))
+    vals = (None if weights == "unit"
+            else rng.choice(WEIGHTS[weights], len(rows)))
     return Select((m, n), rows, cols, vals)
 
 
@@ -79,27 +98,29 @@ def _random_select(rng, m, n, sizes, unit):
                                  "one or none", "empty"])
 def test_select_rows_of_any_length_match_to_dense(mix):
     """Rows of 0, 1, 2 and more entries, in maps that apply by two gathers,
-    by one gather that reads the zero row and by one segmented sum, on
-    inputs with and without batch axes and on integers."""
+    by one gather that reads the zero row and by one segmented sum, with
+    unit, real and complex weights, on complex and real inputs with and
+    without batch axes and on integers."""
     rng = np.random.default_rng(7)
     p = {"all short": [0, 0.5, 0.5, 0, 0],
          "mostly short": [0.1, 0.3, 0.35, 0.15, 0.1],
          "mostly long": [0.1, 0.1, 0.1, 0.3, 0.4],
          "one or none": [0.3, 0.7, 0, 0, 0],
          "empty": [1, 0, 0, 0, 0]}[mix]
-    for trial in range(30):
+    for weights in ["unit", "real"] * 15 + ["complex"] * 15:
         m, n = rng.integers(1, 40, size=2)
         sizes = rng.choice([0, 1, 2, 3, 6], size=m, p=p)
-        op = _random_select(rng, m, n, sizes, unit=trial % 2 == 0)
+        op = _random_select(rng, m, n, sizes, weights)
         d = op.to_dense()
         for batch in [(), (3,), (2, 4)]:
             x = gaussian(rng, (n,) + batch)
-            out = op.apply(x)
-            assert out.shape == (m,) + batch
-            assert rel_err(out, np.tensordot(d, x, axes=1)) < 1e-12
+            for part in (x, x.real):
+                out = op.apply(part)
+                assert out.shape == (m,) + batch
+                assert rel_err(out, np.tensordot(d, part, axes=1)) < 1e-12
         _exact(op, rng.integers(-50, 50, size=n))
         if np.any(op.vals != 1):  # weights promote single precision, as d @ x
-            assert op.apply(np.ones(n, np.float32)).dtype == np.float64
+            assert op.apply(np.ones(n, np.float32)).dtype == op.vals.dtype
     real = Select((3, 4), [0, 0, 1, 2], [1, 2, 3, 0], [1.0, -1.0, 0.5, 2.0])
     np.testing.assert_array_equal(real.apply(np.arange(4)), [-1.0, 1.5, 0.0])
 
@@ -254,12 +275,6 @@ def test_kron_with_an_empty_factor():
     assert op.apply(np.ones(6)).shape == (0,)
 
 
-def test_stacks():
-    rng = np.random.default_rng(5)
-    a, b = Fourier(4), Dense(gaussian(rng, (2, 4)))
-    _check(VStack([a, b]), rng)
-
-
 def test_as_operator_keeps_operators_and_wraps_arrays():
     f = Fourier(128)
     assert as_operator(f) is f
@@ -280,5 +295,5 @@ def test_no_unbounded_caches():
             if callable(attr) and hasattr(attr, "cache_parameters"):
                 cached[id(attr)] = (attr.__qualname__,
                                     attr.cache_parameters()["maxsize"])
-    assert len(cached) == 9
+    assert len(cached) == 8
     assert [c for c in cached.values() if c[1] is None] == []

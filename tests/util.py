@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import structmv as sm
-from structmv import kernels, multilevel
+from structmv import kernels, multilevel, transform
 from structmv.structures import symmetric_pack_index
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -56,6 +56,14 @@ def random_instance(structure, n, rng, density=0.5):
             sm.SparsityPattern(n, support), gaussian(rng, len(support))
         )
     raise ValueError(structure)
+
+
+def tph_shift_row(n):
+    """The row whose product with t is the multiple of the all-ones matrix
+    that tph_program moves from the Toeplitz to the Hankel component: the
+    frequency-1 transform coefficient of t's embedding over 2n."""
+    return (transform.fourier_matrix(2 * n)[1]
+            @ kernels.toeplitz_embedding(n).op.to_dense() / (2 * n))
 
 
 def toeplitz_with_free_entry(rep, v, b):
