@@ -40,7 +40,7 @@ import numpy as np
 
 from . import multilevel  # a cycle: neither reads the other at import
 from .bilinear import BilinearProgram
-from .operators import Dense, Fourier, Kron, Select, compose
+from .operators import Fourier, Kron, Select, compose
 from .structures import (
     KINDS,
     CirculantRep,
@@ -246,8 +246,8 @@ def tph_program(n: int) -> BilinearProgram:
                       np.stack([k, k + 2 * n], axis=1).reshape(-1))
     return BilinearProgram(
         # I_2 (x) W: one batched transform of both branches
-        enc_param=compose(shift, Kron([Dense(np.eye(2)), Fourier(2 * n)]),
-                          embed),
+        enc_param=compose(shift, Kron([Select.take(2, [0, 1]),
+                                       Fourier(2 * n)]), embed),
         enc_vec=compose(both_reads, tp.enc_vec),
         dec=compose(tp.dec, both_sum),
         active=active,
