@@ -11,10 +11,11 @@ the parameters on each call and goes through the same stage.
 
 The three maps are operators (:mod:`structmv.operators`): Fourier
 transforms, index maps, and their compositions and Kronecker products,
-with no matrix formed beyond ``operators.SMALL_DENSE`` entries.
-Arrays passed in are kept as dense matrices.  The one combinator here,
-:func:`kron`, composes any number of programs by one Kronecker product of
-their maps per map.
+with no matrix formed beyond ``operators.SMALL_DENSE`` entries.  A
+program decides how each map is stored, once, by
+:func:`~structmv.operators.as_operator`; the builders only build.  The
+one combinator here, :func:`kron`, composes any number of programs by one
+Kronecker product of their maps per map.
 
 Slots whose parameter-side row is identically zero are marked inactive by
 the builder.  Their coefficient is set to exactly 0, and multiplying by the
@@ -31,7 +32,7 @@ from functools import reduce
 
 import numpy as np
 
-from .operators import Kron, Operator, stored
+from .operators import Kron, Operator, as_operator
 
 # an inactive slot's row must be this small relative to the largest entry
 PRUNE_RTOL = 1e-10
@@ -49,10 +50,9 @@ class BilinearProgram:
     dec       : (n_out, r) map from slot products to the output
     active    : (r,) bool mask; False rows of enc_param are structurally zero
 
-    The maps are operators; an array given for one is kept as a dense
-    matrix, and so is an index map of at most SMALL_DENSE entries that is
-    not a gather.  ``count``, the genuine multiplications per evaluation,
-    and ``inactive``, the indices of the inactive slots, are computed once.
+    Each map is stored as :func:`~structmv.operators.as_operator` gives
+    it.  ``count``, the genuine multiplications per evaluation, and
+    ``inactive``, the indices of the inactive slots, are computed once.
     """
 
     enc_param: Operator
@@ -63,9 +63,8 @@ class BilinearProgram:
     inactive: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "enc_param", stored(self.enc_param))
-        object.__setattr__(self, "enc_vec", stored(self.enc_vec))
-        object.__setattr__(self, "dec", stored(self.dec))
+        for name in ("enc_param", "enc_vec", "dec"):
+            object.__setattr__(self, name, as_operator(getattr(self, name)))
         act = np.array(self.active, dtype=bool).reshape(-1)
         act.setflags(write=False)
         object.__setattr__(self, "active", act)
@@ -190,7 +189,7 @@ def kron(*programs: BilinearProgram) -> BilinearProgram:
     outer-product parameters; its count is exactly the product of the
     counts.  Each map is one :class:`~structmv.operators.Kron` of the
     programs' maps, so the small-map rule of
-    :func:`~structmv.operators.stored` judges the whole map, never a
+    :func:`~structmv.operators.as_operator` judges the whole map, never a
     partial product.  ``kron(p)`` is ``p``.
     """
     if len(programs) == 1:

@@ -13,11 +13,11 @@ tests and small reference checks.  ``op @ x`` is ``op.apply(x)``.  A
 Kronecker product applies one mode product per factor, and a dense
 factor's product is laid out for the next factor with no copy between.
 
-Use :func:`compose` and :func:`as_operator` to build operators: they
-flatten nested compositions, fuse neighbouring index maps into one, and
-keep an operator of at most SMALL_DENSE entries as its dense matrix.  A
-bilinear program keeps each of its maps as :func:`stored` gives it, which
-also keeps a small index map other than a gather as its dense matrix.
+:func:`compose` builds a product, with nested products flattened, and
+decides nothing about storage.  :func:`as_operator` is the one storage
+rule, and a bilinear program stores each of its maps as it gives it: a
+map of at most SMALL_DENSE entries becomes its dense matrix, unless it is
+a gather or a product through a larger operator.
 
 An index map (:class:`Select`) whose row k holds one entry for every k
 applies as a gather, and any other by one plan.  If at least half of its
@@ -93,7 +93,7 @@ class Select(Operator):
     by row.  ``is_gather`` is True when row k has one entry for every k, so
     that applying the map is one gather.  Any other map applies by its
     :class:`_Pairs` plan, which the first ``apply`` builds and keeps, so
-    the maps that :func:`compose` fuses along the way never build one.
+    the maps that a program stores as dense matrices never build one.
     Entries that arrive in strictly increasing (row, col) order are kept
     as they are; others are sorted once."""
 
@@ -153,18 +153,6 @@ class Select(Operator):
         out = np.zeros(self.shape, self.vals.dtype)
         out[self.rows, self.cols] = self.vals
         return out
-
-    def then(self, other: "Select") -> "Select":
-        """The product ``other @ self`` as one index map."""
-        # pair each entry (i, j) of other with every entry (j, l) of self
-        per_row = np.bincount(self.rows, minlength=self.shape[0])
-        first = np.concatenate([[0], np.cumsum(per_row)[:-1]])
-        reps = per_row[other.cols]
-        left = np.repeat(np.arange(len(other.cols)), reps)
-        offsets = np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps, reps)
-        right = first[other.cols][left] + offsets
-        return Select((other.shape[0], self.shape[1]), other.rows[left],
-                      self.cols[right], other.vals[left] * self.vals[right])
 
 
 class _Pairs:
@@ -343,44 +331,32 @@ def _entries(op: Operator) -> int:
 
 
 def as_operator(x) -> Operator:
-    """The operator to store for ``x``.  An array becomes a :class:`Dense`
-    matrix, and so does an operator of at most SMALL_DENSE entries.  Index
-    maps stay as they are (they apply as one gather), and so does a small
-    product that passes through a larger operator, whose matrix would cost
-    more to form than it saves."""
+    """The operator a bilinear program stores for the map ``x``, the one
+    storage rule.  An array becomes a :class:`Dense` matrix.  A dense
+    matrix or a gather stays as it is, and so does an operator of more than
+    SMALL_DENSE entries, or a product that passes through one, whose
+    matrix would cost more to form than it saves.  Any other operator
+    becomes its dense matrix: one small product beats a segmented sum or a
+    chain of numpy calls."""
     if not isinstance(x, Operator):
         return Dense(x)
-    if isinstance(x, (Dense, Select)) or _entries(x) > SMALL_DENSE:
+    if isinstance(x, Dense) or (isinstance(x, Select) and x.is_gather):
         return x
     if _entries(x) == 0:
         return Dense(np.zeros(x.shape))
+    if _entries(x) > SMALL_DENSE:
+        return x
     if isinstance(x, Compose) and max(map(_entries, x.ops)) > SMALL_DENSE:
         return x
     return Dense(x.to_dense())
 
 
-def stored(x) -> Operator:
-    """The operator a bilinear program keeps for the map ``x``:
-    :func:`as_operator`, except that a small index map other than a gather
-    becomes its dense matrix, since one small product beats a segmented
-    sum."""
-    op = as_operator(x)
-    if (isinstance(op, Select) and not op.is_gather
-            and _entries(op) <= SMALL_DENSE):
-        return Dense(op.to_dense())
-    return op
-
-
 def compose(*ops) -> Operator:
-    """The product ops[0] @ ops[1] @ ..., with nested products flattened
-    and neighbouring index maps fused into one."""
-    parts = _flatten(Compose, map(as_operator, ops))
+    """The product ops[0] @ ops[1] @ ..., with nested products flattened:
+    a :class:`Compose`, or the one operator.  How it is stored is left to
+    :func:`as_operator`."""
+    parts = _flatten(Compose, ops)
     for left, right in zip(parts, parts[1:]):
         if left.shape[1] != right.shape[0]:
             raise ValueError(f"cannot compose shapes {left.shape} and {right.shape}")
-    flat = []
-    for part in parts:
-        if flat and isinstance(part, Select) and isinstance(flat[-1], Select):
-            part = part.then(flat.pop())
-        flat.append(part)
-    return as_operator(flat[0] if len(flat) == 1 else Compose(flat))
+    return parts[0] if len(parts) == 1 else Compose(parts)

@@ -144,12 +144,41 @@ def test_hankel_count_is_2n_minus_1():
 
 def test_hankel_is_reversed_toeplitz_on_reversed_params():
     rng = np.random.default_rng(2)
-    for n in (1, 3, 6):
+    for n in (1, 3, 6, 33, 64):
         h = gaussian(rng, 2 * n - 1)
         v = gaussian(rng, n)
         hankel, _ = kernels.direct_matvec(sm.HankelRep(n, h), v)
         toeplitz, _ = kernels.direct_matvec(sm.ToeplitzRep(n, h[::-1]), v)
         np.testing.assert_array_equal(hankel, toeplitz[::-1])
+
+
+@pytest.mark.parametrize("n", [32, 33, 64, 512])
+def test_hankel_above_the_dense_threshold(n):
+    # from n = 33 the parameter encoder is the order-2n transform of one
+    # index map, the Toeplitz embedding with its columns reversed
+    rng = np.random.default_rng(n)
+    m = random_instance("hankel", n, rng)
+    program = kernels.hankel_program(n)
+    assert isinstance(program.enc_param, operators.Dense) == (n <= 32)
+    if n > 32:
+        fourier, reversed_emb = program.enc_param.ops
+        assert isinstance(fourier, operators.Fourier)
+        assert isinstance(reversed_emb, operators.Select)
+        np.testing.assert_array_equal(
+            reversed_emb.to_dense(),
+            kernels.toeplitz_embedding(n).op.to_dense()[:, ::-1])
+    params = kernels.single_level_params(m)
+    v = gaussian(rng, (n, 3))
+    dense = oracle.dense(m)
+    for block in (v[:, 0], v):
+        got, count = bilinear.apply(program, params, block)
+        direct, dcount = kernels.direct_matvec(m, block)
+        assert rel_err(got, dense @ block) < 1e-9
+        assert rel_err(direct, dense @ block) < 1e-9
+        assert rel_err(got, direct) < 1e-12
+        assert count == dcount == (2 * n - 1) * (1 if block.ndim == 1 else 3)
+    report = bilinear.prune_check(program)
+    assert report.match and report.measured == program.count == 2 * n - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 import structmv as sm
 from structmv import bilinear, kernels, multilevel, oracle
-from structmv.operators import SMALL_DENSE, Compose, Dense, Kron
+from structmv.operators import SMALL_DENSE, Compose, Dense, Kron, Select
 from util import (
     SINGLE_LEVEL, SRC, check_prepared_block, gaussian, random_instance, rel_err,
 )
@@ -495,6 +495,10 @@ TAGS = {"C": "circulant", "T": "toeplitz", "H": "hankel", "S": "symmetric",
         "TpH": "toeplitz_plus_hankel", "Sp": "sparse"}
 
 
+def _size(op):
+    return op.shape[0] * op.shape[1]
+
+
 def _parts(op):
     """``op`` and every operator inside it."""
     yield op
@@ -523,3 +527,13 @@ def test_no_stored_map_holds_a_large_dense_matrix():
             for part in _parts(op):
                 if isinstance(part, Dense):
                     assert part.matrix.size <= SMALL_DENSE, (m, part.shape)
+                # a small index map that is not a gather is stored dense
+                if isinstance(part, Select) and _size(part) <= SMALL_DENSE:
+                    assert part.is_gather, (m, part.shape)
+            # the one storage rule: a small map is stored dense unless it is
+            # a gather or a product through a larger operator
+            if _size(op) <= SMALL_DENSE:
+                assert (isinstance(op, Dense)
+                        or isinstance(op, Select) and op.is_gather
+                        or isinstance(op, Compose)
+                        and max(map(_size, op.ops)) > SMALL_DENSE), (m, op)

@@ -197,7 +197,7 @@ def test_symmetric_vector_encoder_needs_no_segmented_sum(monkeypatch):
     assert rel_err(op.apply(x), want) < 1e-12
 
 
-def test_select_fusion_is_the_product():
+def test_compose_of_index_maps_is_their_product():
     rng = np.random.default_rng(2)
     for _ in range(20):
         m, k, n = rng.integers(1, 7, size=3)
@@ -205,9 +205,12 @@ def test_select_fusion_is_the_product():
                    rng.choice([-1.0, 1.0], 9))
         b = Select((k, n), rng.integers(0, k, 9), rng.integers(0, n, 9),
                    rng.choice([-1.0, 1.0], 9))
-        fused = compose(a, b)
-        assert isinstance(fused, Select)
-        np.testing.assert_array_equal(fused.to_dense(), a.to_dense() @ b.to_dense())
+        product = compose(a, b)
+        want = a.to_dense() @ b.to_dense()
+        np.testing.assert_array_equal(product.to_dense(), want)
+        for x in (gaussian(rng, n), gaussian(rng, (n, 3))):
+            np.testing.assert_allclose(product.apply(x), want @ x,
+                                       rtol=0, atol=1e-12)
 
 
 def test_compose_flattens_and_checks_shapes():
@@ -224,15 +227,18 @@ def test_compose_flattens_and_checks_shapes():
 def test_small_operators_become_dense():
     rng = np.random.default_rng(6)
     n = 8
-    small = compose(Fourier(2 * n), Select.take(2 * n, np.arange(n)).T)
+    small = as_operator(compose(Fourier(2 * n),
+                                Select.take(2 * n, np.arange(n)).T))
     assert isinstance(small, Dense)
     np.testing.assert_allclose(
         small.to_dense(), fourier_matrix(2 * n)[:, :n], rtol=0, atol=1e-14)
     assert isinstance(as_operator(Fourier(64)), Dense)
     assert isinstance(as_operator(Fourier(65)), Fourier)
     assert isinstance(as_operator(Select.take(3, [0])), Select)
+    assert isinstance(as_operator(Select.take(3, [0]).T), Dense)
     # a small product that passes through a large operator stays a product
-    through = compose(Select.take(4096, [0]), Fourier(4096), Select.take(4096, [1]).T)
+    through = as_operator(compose(Select.take(4096, [0]), Fourier(4096),
+                                  Select.take(4096, [1]).T))
     assert isinstance(through, Compose) and through.shape == (1, 1)
     _check(through, rng)
     empty = as_operator(Kron([Fourier(100), Select((0, 3), [], [])]))
@@ -245,7 +251,8 @@ def test_kron_matches_np_kron():
     fourier, select = Fourier(3), Select.take(4, [1, 3])
     chain = Compose([Fourier(6, conj=True), Select.take(6, [0, 1, 2]).T])
     factors = [fourier, select, dense,
-               compose(Fourier(6, conj=True), Select.take(6, [0, 1, 2]).T)]
+               as_operator(compose(Fourier(6, conj=True),
+                                   Select.take(6, [0, 1, 2]).T))]
     # a dense factor applies in its own layout: put it first, in the middle
     # and last, beside every other kind, and next to another dense factor
     cases = [factors[:k] for k in range(1, len(factors) + 1)] + [

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from structmv.kernels import _exchange
+from structmv.kernels import hankel_program
+from structmv.operators import Select
 from structmv.transform import dft, fourier_matrix, idft
 from util import gaussian, rel_err
 
@@ -28,8 +29,15 @@ def test_idft_inverts_dft():
     assert rel_err(dft(idft(v)), v) < 1e-10
 
 
+def _exchange(n):
+    """The exchange J = np.eye(n)[::-1] as an index map."""
+    return Select.take(n, np.arange(n)[::-1])
+
+
 def test_exchange():
-    # the exchange map that hankel_program uses is J = np.eye(n)[::-1]
+    # the exchange map that hankel_program's decoder applies last
+    np.testing.assert_array_equal(
+        hankel_program(64).dec.ops[0].to_dense(), np.eye(64)[::-1])
     np.testing.assert_array_equal(_exchange(3) @ np.array([1, 2, 3]), [3, 2, 1])
     np.testing.assert_array_equal(_exchange(2) @ np.array([5, 7]), [7, 5])
     v = np.arange(6, dtype=complex)
