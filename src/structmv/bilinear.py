@@ -4,10 +4,10 @@ A bilinear program evaluates a bilinear map in four stages: encode the
 parameter vector (enc_param), encode the input vector (enc_vec), multiply
 the two encodings pointwise, and decode (dec).  Only the pointwise products
 count as genuine multiplications; everything else is multiplication by
-fixed constants, which is free.  The pointwise stage has one
-implementation, :class:`Prepared`: a full vector of slot coefficients,
-encoded once, multiplies the encoded input in place.  :func:`apply` encodes
-the parameters on each call and goes through the same stage.
+fixed constants, which is free.  Both routes run one product function,
+which checks the input once, encodes it, multiplies it in place by a full
+vector of slot coefficients and decodes it: :class:`Prepared` encodes the
+coefficients once, :func:`apply` on each call.
 
 The three maps are operators (:mod:`structmv.operators`): Fourier
 transforms, index maps, and their compositions and Kronecker products,
@@ -109,7 +109,7 @@ class CountReport:
 def coefficients(program: BilinearProgram, a) -> np.ndarray:
     """Slot coefficients of ``program`` on parameter vector ``a``: its
     parameter encoding, with the inactive slots set to exactly 0.  A view
-    gives the bits of its contiguous copy, as in :func:`slot_products`."""
+    gives the bits of its contiguous copy, as in :func:`apply`."""
     a = np.ascontiguousarray(a, dtype=complex).reshape(-1)
     if len(a) != program.d_param:
         raise ValueError(
@@ -120,27 +120,24 @@ def coefficients(program: BilinearProgram, a) -> np.ndarray:
     return coef
 
 
-def slot_products(program: BilinearProgram, coef, v,
-                  kind: str = "program") -> np.ndarray:
-    """The pointwise stage: ``coef`` times the encoded input, one product
-    per slot.  ``v`` has shape (n_in,), or (n_in, k) for a block of k
-    vectors; ``kind`` names the matrix in error messages."""
+def _product(program: BilinearProgram, coef, v,
+             kind: str = "program") -> tuple[np.ndarray, int]:
+    """The product of both routes: ``v`` of shape (n_in,), or (n_in, k) for
+    k vectors, encoded, times ``coef`` and decoded; ``kind`` names the
+    matrix in errors.  Returns (product, count), k times the active slots."""
     # C order, as in coefficients: dense maps round strided views differently
     v = np.asarray(v, dtype=complex, order="C")
     if v.ndim not in (1, 2):
         raise ValueError(
             f"expected a vector or a block of vectors, got shape {v.shape}"
         )
-    if len(v) != program.n_in:
+    if len(v) != program.enc_vec.shape[1]:
         raise ValueError(f"{kind} order {program.n_in} does not match "
                          f"input vector length {len(v)}")
-    x = program.enc_vec @ v
+    x = program.enc_vec.apply(v)
     x *= coef if v.ndim == 1 else coef[:, None]
-    return x
-
-
-def _decode(program: BilinearProgram, x) -> tuple[np.ndarray, int]:
-    return program.dec @ x, program.count * (x.shape[1] if x.ndim == 2 else 1)
+    k = 1 if v.ndim == 1 else v.shape[1]
+    return program.dec.apply(x), program.count * k
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +162,7 @@ class Prepared:
         """Product with ``v`` of shape (n,), or with each column of ``v`` of
         shape (n, k).  Returns (product, count); the count is the genuine
         multiplications formed, k times the active slots."""
-        return _decode(self.program,
-                       slot_products(self.program, self.coef, v, self.kind))
+        return _product(self.program, self.coef, v, self.kind)
 
 
 def apply(program: BilinearProgram, a, v) -> tuple[np.ndarray, int]:
@@ -178,8 +174,7 @@ def apply(program: BilinearProgram, a, v) -> tuple[np.ndarray, int]:
     vectors, the output has shape (n_out, k) and the count is k times the
     active slots.
     """
-    coef = coefficients(program, a)
-    return _decode(program, slot_products(program, coef, v))
+    return _product(program, coefficients(program, a), v)
 
 
 def kron(*programs: BilinearProgram) -> BilinearProgram:

@@ -101,5 +101,8 @@ def intermediate_w_values(m: MultilevelRep, v) -> np.ndarray:
         raise ValueError("intermediate products need at least two levels")
     program = multilevel_program(m)
     coef = bilinear.coefficients(program, param_vector(m))
-    head_r = kernels.single_level_program(m.levels[0]).r
-    return bilinear.slot_products(program, coef, v).reshape(head_r, -1)
+    if len(v) != program.n_in:
+        raise ValueError(f"program order {program.n_in} does not match "
+                         f"input vector length {len(v)}")
+    w = program.enc_vec.apply(np.asarray(v, dtype=complex, order="C")) * coef
+    return w.reshape(kernels.single_level_program(m.levels[0]).r, -1)

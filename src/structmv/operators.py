@@ -23,7 +23,8 @@ An index map (:class:`Select`) whose row k holds one entry for every k
 applies as a gather, and any other by one plan.  If at least half of its
 rows hold one or two entries, those rows are two gathers, one per entry,
 from the input with a zero row appended, and its longer rows are one
-segmented sum (``np.add.reduceat``); if not, all of its entries are.
+segmented sum (``np.add.reduceat``); if not, all of its entries are, and
+are the output if the last row is not empty.  A run of columns is a view.
 """
 
 from __future__ import annotations
@@ -86,16 +87,16 @@ class Fourier(Operator):
 
 
 class Select(Operator):
-    """Index map in coordinate form: entry (rows[k], cols[k]) holds
-    vals[k], every other entry is zero.  The builders' index maps hold
-    0/+-1 entries, except the Toeplitz-plus-Hankel gauge shift, whose
-    weights are complex.  Entries are summed per position and kept sorted
-    by row.  ``is_gather`` is True when row k has one entry for every k, so
-    that applying the map is one gather.  Any other map applies by its
-    :class:`_Pairs` plan, which the first ``apply`` builds and keeps, so
-    the maps that a program stores as dense matrices never build one.
-    Entries that arrive in strictly increasing (row, col) order are kept
-    as they are; others are sorted once."""
+    """Index map in coordinate form: entry (rows[k], cols[k]) holds vals[k],
+    every other entry is zero.  The builders' index maps hold 0/+-1 entries,
+    except the Toeplitz-plus-Hankel gauge shift, whose weights are complex.
+    Entries are summed per position and kept sorted by row.  ``is_gather``
+    is True when row k has one entry for every k, so that applying the map
+    is one gather, a copy: callers write into it.  Any other map applies by
+    its :class:`_Pairs` plan, never a view, which the first ``apply`` builds
+    and keeps, so the maps that a program stores as dense matrices never
+    build one.  Entries that arrive in strictly increasing (row, col) order
+    are kept as they are; others are sorted once."""
 
     def __init__(self, shape, rows, cols, vals=None):
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
@@ -166,10 +167,12 @@ class _Pairs:
     judged on the rows of one or two entries, w1 on the rows of two and the
     sums' weights on the long rows' own entries.  c1 is None when no row
     has two entries.  With fewer short rows the gathers cost more than they
-    save: c0 is None, the output starts from zeros and every nonempty row
-    is long, one segmented sum over views of all of the map's entries."""
+    save: c0 is None and every nonempty row is long, one segmented sum over
+    all of the map's entries, the output (``whole``) if the last row is not
+    empty, an empty row's term zeroed.  Columns in one run (the long rows', or
+    c0 and c1 if c1 is kept) are a slice: a view of x, never written."""
 
-    __slots__ = ("m", "c0", "c1", "w0", "w1", "zero", "long", "dtype")
+    __slots__ = ("m", "c0", "c1", "w0", "w1", "zero", "long", "whole", "dtype")
 
     def __init__(self, op: Select):
         m, n = op.shape
@@ -182,7 +185,7 @@ class _Pairs:
         starts = np.cumsum(counts) - counts
         short = counts <= 2
         self.c0 = self.c1 = self.w0 = self.w1 = self.long = None
-        self.zero = False
+        self.zero = self.whole = False
         if 2 * np.count_nonzero(short) < m:
             short[:] = False  # too few short rows for the gathers to pay
         else:
@@ -192,8 +195,9 @@ class _Pairs:
             n_two = np.count_nonzero(two)
             if n_two:
                 second, rows2 = starts[two] + 1, rows[two]
-                self.c1 = np.full(m, n)
-                self.c1[rows2] = op.cols[second]
+                c1 = np.full(m, n)
+                c1[rows2] = op.cols[second]
+                self.c0, self.c1 = _run(self.c0), _run(c1)  # their sum is new
                 if np.any(op.vals[second] != 1):
                     self.w1 = np.zeros(m, op.vals.dtype)
                     self.w1[rows2] = op.vals[second]
@@ -207,17 +211,26 @@ class _Pairs:
         long = ~short
         if long.any():
             entries = slice(None) if self.c0 is None else np.repeat(long, counts)
-            sizes = counts[long]
             vals = op.vals[entries]
-            self.long = (rows[long], op.cols[entries],
+            self.whole = self.c0 is None and per_row[-1] > 0
+            rows, sizes = ((_run(np.flatnonzero(per_row == 0)), per_row)
+                           if self.whole else (rows[long], counts[long]))
+            self.long = (rows, _run(op.cols[entries]),
                          vals if np.any(vals != 1) else None,
                          np.cumsum(sizes) - sizes)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        shape = (-1,) + (1,) * (x.ndim - 1)
         if self.dtype is not None:
-            # promoted as x * vals would be, so the weights multiply in place
+            # promoted as x * vals would be
             x = x.astype(np.promote_types(x.dtype, self.dtype), copy=False)
+            shape = (-1,) + (1,) * (x.ndim - 1)
+        if self.long is not None:
+            rows, cols, vals, starts = self.long
+            terms = x[cols] if vals is None else x[cols] * vals.reshape(shape)
+            sums = np.add.reduceat(terms, starts, axis=0)
+            if self.whole:
+                sums[rows] = 0
+                return sums
         if self.c0 is None:
             out = np.zeros((self.m,) + x.shape[1:], x.dtype)
         else:
@@ -226,21 +239,25 @@ class _Pairs:
                 xe = np.empty((len(x) + 1,) + x.shape[1:], x.dtype)
                 xe[:-1] = x
                 xe[-1] = 0
-            out = xe[self.c0]
-            if self.w0 is not None:
-                out *= self.w0.reshape(shape)
+            out = (xe[self.c0] if self.w0 is None
+                   else xe[self.c0] * self.w0.reshape(shape))
             if self.c1 is not None:
-                second = xe[self.c1]
-                if self.w1 is not None:
-                    second *= self.w1.reshape(shape)
-                out += second
+                second = (xe[self.c1] if self.w1 is None
+                          else xe[self.c1] * self.w1.reshape(shape))
+                if isinstance(self.c0, slice) and self.w0 is None:
+                    out = out + second
+                else:
+                    out += second
         if self.long is not None:
-            rows, cols, vals, starts = self.long
-            terms = x[cols]
-            if vals is not None:
-                terms *= vals.reshape(shape)
-            out[rows] = np.add.reduceat(terms, starts, axis=0)
+            out[rows] = sums
         return out
+
+
+def _run(index: np.ndarray):
+    """``index`` as a slice if it is one increasing run, or as it is."""
+    a = int(index[0]) if len(index) else 0
+    run = np.array_equal(index, np.arange(a, a + len(index)))
+    return slice(a, a + len(index)) if run else index
 
 
 class Dense(Operator):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -435,6 +436,25 @@ def test_sparse_empty_support():
     assert dcount == 0
 
 
+def test_sparse_read_only_values_and_vector():
+    # the parameter encoder is an identity gather, which copies: the slot
+    # stage writes into its coefficients and never into the values
+    rng = np.random.default_rng(13)
+    support = tuple((i, (3 * i + k) % 40) for i in range(40) for k in range(4))
+    values = gaussian(rng, len(support))
+    values.setflags(write=False)
+    m = sm.SparseRep(sm.SparsityPattern(40, support), values)
+    v = gaussian(rng, 40)
+    v.setflags(write=False)
+    before = values.copy()
+    want = oracle.dense(m) @ v
+    program = kernels.sparse_program(m.pattern)
+    got, count = bilinear.apply(program, kernels.single_level_params(m), v)
+    assert rel_err(got, want) < 1e-12 and count == len(support)
+    np.testing.assert_array_equal(multilevel.prepare(m).apply(v)[0], got)
+    np.testing.assert_array_equal(m.values, before)
+
+
 def test_sparse_pattern_index_arrays():
     pattern = sm.SparsityPattern(4, ((2, 1), (0, 3), (2, 0)))
     np.testing.assert_array_equal(pattern.rows, [2, 0, 2])
@@ -584,17 +604,27 @@ def test_prepared_inactive_slots_hold_the_constant_zero(structure):
 @pytest.mark.parametrize("structure", ("circulant", "toeplitz", "symmetric",
                                        "sparse", "toeplitz_plus_hankel"))
 def test_program_and_direct_routes_agree_bit_for_bit(structure):
-    # one program, one encoding of its parameters and one slot stage
+    # one program, one encoding of its parameters and one slot stage; the
+    # orders above 32 and the sparse densities reach the index-map plans.
+    # A Hankel matrix is prepared by the Toeplitz encoder on its reversed
+    # parameters, so its routes agree to rounding only (see
+    # test_hankel_above_the_dense_threshold).
     rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 100)
-    for n in (1, 4, 9, 16):
-        m = random_instance(structure, n, rng)
-        v = gaussian(rng, (n, 2))
+    orders = {"symmetric": (1, 4, 9, 16, 32, 64),
+              "sparse": (1, 4, 9, 16, 33, 64)}.get(structure,
+                                                 (1, 4, 9, 16, 33, 64, 512))
+    densities = (0.02, 0.1, 0.5) if structure == "sparse" else (0.5,)
+    for n, density in itertools.product(orders, densities):
+        m = random_instance(structure, n, rng, density)
+        v = gaussian(rng, (n, 3))
         program = kernels.single_level_program(m)
         params = kernels.single_level_params(m)
+        dense = oracle.dense(m)
         for block in (v[:, 0], v):
-            np.testing.assert_array_equal(
-                bilinear.apply(program, params, block)[0],
-                kernels.direct_matvec(m, block)[0])
+            got = bilinear.apply(program, params, block)[0]
+            np.testing.assert_array_equal(got,
+                                          kernels.direct_matvec(m, block)[0])
+            assert rel_err(got, dense @ block) < 1e-9
 
 
 @pytest.mark.parametrize("structure", SINGLE_LEVEL)

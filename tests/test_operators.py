@@ -94,28 +94,59 @@ def _random_select(rng, m, n, sizes, weights):
     return Select((m, n), rows, cols, vals)
 
 
+def _runs_select(rng, kind, weights):
+    """An index map whose columns run in order: every row two entries, at
+    columns a + i and a + m + i (kind 0); one entry at a + i and, in some
+    rows, two more past those (kind 1); or rows of none, three or six
+    entries reading consecutive columns (kind 2)."""
+    m, a = rng.integers(1, 30), rng.integers(0, 4)
+    i = np.arange(m)
+    if kind == 0:
+        rows, n = np.repeat(i, 2), a + 2 * m
+        cols = np.stack([a + i, a + m + i], axis=1)
+    elif kind == 1:
+        long = rng.random(m) < 0.3
+        rows, n = np.repeat(i, np.where(long, 3, 1)), a + 3 * m
+        cols = np.concatenate([[a + k] + [a + m + 2 * k, a + m + 2 * k + 1]
+                               * int(b) for k, b in zip(i, long)])
+    else:
+        rows = np.repeat(i, rng.choice([0, 3, 6], size=m, p=[0.2, 0.4, 0.4]))
+        cols, n = a + np.arange(len(rows)), a + len(rows) + rng.integers(0, 3)
+    vals = (None if weights == "unit"
+            else rng.choice(WEIGHTS[weights], len(rows)))
+    return Select((m, max(n, 1)), rows, cols, vals)
+
+
 @pytest.mark.parametrize("mix", ["all short", "mostly short", "mostly long",
-                                 "one or none", "empty"])
+                                 "one or none", "empty", "runs"])
 def test_select_rows_of_any_length_match_to_dense(mix):
     """Rows of 0, 1, 2 and more entries, in maps that apply by two gathers,
-    by one gather that reads the zero row and by one segmented sum, with
-    unit, real and complex weights, on complex and real inputs with and
-    without batch axes and on integers."""
+    by one gather that reads the zero row and by one segmented sum, and in
+    maps that read runs of columns as views, with unit, real and complex
+    weights, on complex and real inputs with and without batch axes and on
+    integers.  No input is written."""
     rng = np.random.default_rng(7)
     p = {"all short": [0, 0.5, 0.5, 0, 0],
          "mostly short": [0.1, 0.3, 0.35, 0.15, 0.1],
          "mostly long": [0.1, 0.1, 0.1, 0.3, 0.4],
          "one or none": [0.3, 0.7, 0, 0, 0],
-         "empty": [1, 0, 0, 0, 0]}[mix]
-    for weights in ["unit", "real"] * 15 + ["complex"] * 15:
-        m, n = rng.integers(1, 40, size=2)
-        sizes = rng.choice([0, 1, 2, 3, 6], size=m, p=p)
-        op = _random_select(rng, m, n, sizes, weights)
+         "empty": [1, 0, 0, 0, 0]}.get(mix)
+    for k, weights in enumerate(["unit", "real"] * 15 + ["complex"] * 15):
+        if mix == "runs":
+            op = _runs_select(rng, k % 3, weights)
+            m, n = op.shape
+        else:
+            m, n = rng.integers(1, 40, size=2)
+            sizes = rng.choice([0, 1, 2, 3, 6], size=m, p=p)
+            op = _random_select(rng, m, n, sizes, weights)
         d = op.to_dense()
         for batch in [(), (3,), (2, 4)]:
             x = gaussian(rng, (n,) + batch)
+            x.setflags(write=False)
             for part in (x, x.real):
+                before = part.copy()
                 out = op.apply(part)
+                np.testing.assert_array_equal(part, before)
                 assert out.shape == (m,) + batch
                 assert rel_err(out, np.tensordot(d, part, axes=1)) < 1e-12
         _exact(op, rng.integers(-50, 50, size=n))
@@ -195,6 +226,37 @@ def test_symmetric_vector_encoder_needs_no_segmented_sum(monkeypatch):
     want = op.to_dense() @ x
     monkeypatch.setattr(np, "add", NoReduceat())
     assert rel_err(op.apply(x), want) < 1e-12
+
+
+def test_plans_read_runs_as_views_and_return_whole_sums(monkeypatch):
+    """The symmetric decoder and a sparse decoder with no empty row return
+    their segmented sums as they are, with no zero fill; the sparse decoder
+    reads its slots, 0 to r - 1 in order, as one view, and the
+    Toeplitz-plus-Hankel decoder's [I I] sum reads the two halves of the
+    slot vector as two.  Results stay exact."""
+    from structmv.kernels import sparse_program, symmetric_program, tph_program
+    from structmv.structures import SparsityPattern
+    # row i holds three to six entries
+    support = [(i, (i + 7 * k) % 64) for i in range(64)
+               for k in range(3 + i % 4)]
+    sparse = sparse_program(SparsityPattern(64, support)).dec
+    both_sum = tph_program(64).dec.ops[-1]
+    rng = np.random.default_rng(10)
+    ops = (symmetric_program(64).dec, sparse, both_sum)
+    xs = [rng.integers(-50, 50, size=op.shape[1]) for op in ops]
+    wants = [op.to_dense() @ x for op, x in zip(ops, xs)]
+    for op, x in zip(ops, xs):
+        op.apply(x)  # builds the plan
+    assert isinstance(sparse._pairs.long[1], slice)
+    assert isinstance(both_sum._pairs.c0, slice)
+    assert isinstance(both_sum._pairs.c1, slice)
+
+    def no_zeros(*args, **kwargs):
+        raise AssertionError("np.zeros was called")
+
+    monkeypatch.setattr(np, "zeros", no_zeros)
+    for op, x, want in zip(ops, xs, wants):
+        np.testing.assert_array_equal(op.apply(x), want)
 
 
 def test_compose_of_index_maps_is_their_product():
