@@ -14,23 +14,24 @@ The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
 into a circulant of twice the order with the free first-row entry chosen as
 minus the parameter sum, which zeroes the frequency-0 slot and saves one
 multiplication; its vector encoder and decoder are single order-2n
-transforms windowed to n columns and n rows.  Hankel reduces to Toeplitz by
-reversing parameters and output; its parameter encoder transforms the
-Toeplitz embedding with its columns reversed, one index map.  Symmetric
-forms one product per entry pair, a_ij (v_i + v_j), and one per diagonal
-entry, (a_ii - sum_{j != i} a_ij) v_i, with index maps only.
-Toeplitz-plus-Hankel shifts a multiple of the all-ones matrix between its
-two components so that the Toeplitz part's frequency-1 slot vanishes as
-well, saving a second multiplication; the shift is an index map on the slots
-of the program's parameter encoder, so the direct route and a multilevel
-level run it on the raw 4n-2 parameters too.  Its Hankel branch moves the
-output reversal onto its frequency slots (the FFT flip identity), so both
-branches share one forward and one inverse transform.  Sparse is the usual
-support-driven matvec, as one gather, one multiply and one segmented sum; a
-sparse decoder whose rows mostly hold one or two entries sums by two gathers
-instead.  Whether a map applies as a small dense matrix, an index map or
-``np.fft`` is decided once, when the program stores it, the same on both
-routes.
+transforms windowed to n columns and n rows.  Hankel is the Toeplitz
+program between two reversals, a gather of the parameters before its
+parameter encoder and one of the output after its decoder, so the Toeplitz
+family keeps one embedding map; from order 33 on, a Hankel product's two
+routes give the same bits.  Symmetric forms one product per entry pair,
+a_ij (v_i + v_j), and one per diagonal entry, (a_ii - sum_{j != i} a_ij) v_i,
+with index maps only.  Toeplitz-plus-Hankel shifts a multiple of the
+all-ones matrix between its two components so that the Toeplitz part's
+frequency-1 slot vanishes as well, saving a second multiplication; the
+shift is an index map on the slots of the program's parameter encoder, so
+the direct route and a multilevel level run it on the raw 4n-2 parameters
+too.  Its Hankel branch moves the output reversal onto its frequency slots
+(the FFT flip identity), so both branches share one forward and one
+inverse transform.  Sparse is the usual support-driven matvec, as one
+gather, one multiply and one segmented sum; a sparse decoder whose rows
+mostly hold one or two entries sums by two gathers instead.  Whether a map
+applies as a small dense matrix, an index map or ``np.fft`` is decided
+once, when the program stores it, the same on both routes.
 """
 
 from __future__ import annotations
@@ -135,16 +136,19 @@ def toeplitz_program(n: int) -> BilinearProgram:
 
 @lru_cache(maxsize=64)
 def hankel_program(n: int) -> BilinearProgram:
-    """2n-1 multiplications: Toeplitz on reversed parameters, output reversed.
+    """2n-1 multiplications: the Toeplitz program between two reversals.
 
-    The parameter encoder is the order-2n transform of E J, the Toeplitz
-    embedding E with its columns reversed, one index map; the decoder is
-    the reversal of order n after the Toeplitz decoder.
+    The parameter encoder is the Toeplitz encoder after the reversal of
+    the 2n-1 parameters, and the decoder the reversal of order n after the
+    Toeplitz decoder; the vector encoder and the slots are Toeplitz's.
+    From n = 33 on, the encoder runs the same reversal, index map and
+    transform as :func:`structmv.multilevel.prepare` does for a Hankel
+    level, so both routes give the same bits.  Below, the encoder is
+    stored as the dense matrix (W E) J, whose rows sum in another order.
     """
-    tp, emb = toeplitz_program(n), toeplitz_embedding(n).op
-    reversed_emb = Select(emb.shape, emb.rows, 2 * n - 2 - emb.cols, emb.vals)
+    tp, m = toeplitz_program(n), 2 * n - 1
     return BilinearProgram(
-        enc_param=compose(Fourier(2 * n), reversed_emb),
+        enc_param=compose(tp.enc_param, Select.take(m, np.arange(m)[::-1])),
         enc_vec=tp.enc_vec,
         dec=compose(Select.take(n, np.arange(n)[::-1]), tp.dec),
         active=tp.active,

@@ -75,7 +75,11 @@ def _encode(m: StructuredMatrix) -> bilinear.Prepared:
 def _level_coefficients(level: StructuredMatrix) -> np.ndarray:
     """:func:`bilinear.coefficients` of ``level``'s own program.  A Hankel
     level takes the Toeplitz encoder on its reversed parameters, so that a
-    Hankel product is the reversed Toeplitz product bit for bit."""
+    Hankel product is the reversed Toeplitz product bit for bit.  From
+    order 33 on, that is what the Hankel encoder itself runs, the reversal
+    before the Toeplitz encoder, so both routes give the same bits; below,
+    the Hankel encoder is one dense matrix whose rows sum in another order,
+    and the two routes agree to rounding."""
     param = kernels.single_level_params(level)
     if isinstance(level, HankelRep):
         return bilinear.coefficients(kernels.toeplitz_program(level.n),

@@ -24,7 +24,8 @@ applies as a gather, and any other by one plan.  If at least half of its
 rows hold one or two entries, those rows are two gathers, one per entry,
 from the input with a zero row appended, and its longer rows are one
 segmented sum (``np.add.reduceat``); if not, all of its entries are, and
-are the output if the last row is not empty.  A run of columns is a view.
+are the output if the last row is not empty.  A run of columns is a view,
+and a block of vectors gathers by ``np.take``.
 """
 
 from __future__ import annotations
@@ -142,10 +143,9 @@ class Select(Operator):
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x)
         if self.is_gather:
-            terms = x[self.cols]
-            if not self._unit:
-                terms = terms * self.vals.reshape((-1,) + (1,) * (x.ndim - 1))
-            return terms
+            if self._unit and x.ndim == 1:
+                return x[self.cols]
+            return _read(x, self.cols, None if self._unit else self.vals)
         if self._pairs is None:
             self._pairs = _Pairs(self)
         return self._pairs.apply(x)
@@ -223,10 +223,10 @@ class _Pairs:
         if self.dtype is not None:
             # promoted as x * vals would be
             x = x.astype(np.promote_types(x.dtype, self.dtype), copy=False)
-            shape = (-1,) + (1,) * (x.ndim - 1)
+        vector = x.ndim == 1
         if self.long is not None:
             rows, cols, vals, starts = self.long
-            terms = x[cols] if vals is None else x[cols] * vals.reshape(shape)
+            terms = x[cols] if vector and vals is None else _read(x, cols, vals)
             sums = np.add.reduceat(terms, starts, axis=0)
             if self.whole:
                 sums[rows] = 0
@@ -239,11 +239,11 @@ class _Pairs:
                 xe = np.empty((len(x) + 1,) + x.shape[1:], x.dtype)
                 xe[:-1] = x
                 xe[-1] = 0
-            out = (xe[self.c0] if self.w0 is None
-                   else xe[self.c0] * self.w0.reshape(shape))
+            out = (xe[self.c0] if vector and self.w0 is None
+                   else _read(xe, self.c0, self.w0))
             if self.c1 is not None:
-                second = (xe[self.c1] if self.w1 is None
-                          else xe[self.c1] * self.w1.reshape(shape))
+                second = (xe[self.c1] if vector and self.w1 is None
+                          else _read(xe, self.c1, self.w1))
                 if isinstance(self.c0, slice) and self.w0 is None:
                     out = out + second
                 else:
@@ -251,6 +251,22 @@ class _Pairs:
         if self.long is not None:
             out[rows] = sums
         return out
+
+
+def _read(x: np.ndarray, index, weights=None) -> np.ndarray:
+    """``x[index]`` along the first axis, times ``weights``, one per row
+    read (None: all 1).  A block gathers by ``take``, which numpy runs
+    several times faster than fancy indexing there; a vector by indexing,
+    the faster on one axis, and a slice is a view.  Callers index an
+    unweighted vector themselves: this call costs about 0.1 us, a few
+    percent of a product of order 32."""
+    block = x.ndim > 1 and not isinstance(index, slice)
+    if weights is None:
+        return x.take(index, axis=0) if block else x[index]
+    # the gather is multiplied as a temporary, so that numpy can write the
+    # product into it instead of into a fresh array
+    return ((x.take(index, axis=0) if block else x[index])
+            * weights.reshape((-1,) + (1,) * (x.ndim - 1)))
 
 
 def _run(index: np.ndarray):

@@ -155,18 +155,21 @@ def test_hankel_is_reversed_toeplitz_on_reversed_params():
 
 @pytest.mark.parametrize("n", [32, 33, 64, 512])
 def test_hankel_above_the_dense_threshold(n):
-    # from n = 33 the parameter encoder is the order-2n transform of one
-    # index map, the Toeplitz embedding with its columns reversed
+    # from n = 33 the parameter encoder is the Toeplitz encoder, the
+    # order-2n transform of the cached embedding, after a reversal gather
     rng = np.random.default_rng(n)
     m = random_instance("hankel", n, rng)
     program = kernels.hankel_program(n)
     assert isinstance(program.enc_param, operators.Dense) == (n <= 32)
     if n > 32:
-        fourier, reversed_emb = program.enc_param.ops
+        fourier, embedding, reversal = program.enc_param.ops
         assert isinstance(fourier, operators.Fourier)
-        assert isinstance(reversed_emb, operators.Select)
+        assert embedding is kernels.toeplitz_embedding(n).op
+        assert isinstance(reversal, operators.Select) and reversal.is_gather
+        np.testing.assert_array_equal(reversal.cols,
+                                      np.arange(2 * n - 1)[::-1])
         np.testing.assert_array_equal(
-            reversed_emb.to_dense(),
+            embedding.to_dense() @ reversal.to_dense(),
             kernels.toeplitz_embedding(n).op.to_dense()[:, ::-1])
     params = kernels.single_level_params(m)
     v = gaussian(rng, (n, 3))
@@ -553,6 +556,28 @@ def test_prepared_block_every_order(structure):
                              gaussian(rng, (n, 3)))
 
 
+@pytest.mark.parametrize("structure, n, density", [("symmetric", 64, 0.5),
+                                                   ("sparse", 64, 0.5),
+                                                   ("sparse", 256, 0.1)])
+def test_index_map_blocks_equal_their_columns_bit_for_bit(structure, n,
+                                                          density):
+    # every map is an index map, whose gathers and segmented sums treat
+    # each column of a block as they treat one vector
+    rng = np.random.default_rng(n)
+    m = random_instance(structure, n, rng, density)
+    program = multilevel.multilevel_program(m)
+    assert all(isinstance(op, operators.Select)
+               for op in (program.enc_param, program.enc_vec, program.dec))
+    assert max(np.bincount(program.dec.rows)) > 2  # long rows: a segmented sum
+    params = multilevel.param_vector(m)
+    block = gaussian(rng, (n, 3))
+    for route in (sm.prepare(m).apply,
+                  lambda v: bilinear.apply(program, params, v)):
+        np.testing.assert_array_equal(
+            route(block)[0],
+            np.stack([route(block[:, t])[0] for t in range(3)], axis=1))
+
+
 @pytest.mark.parametrize("structure", SINGLE_LEVEL)
 def test_prepare_encodes_once_per_matrix(structure, monkeypatch):
     encoded = []
@@ -601,16 +626,18 @@ def test_prepared_inactive_slots_hold_the_constant_zero(structure):
         assert count == prepared.program.count == sm.param_dim(m)
 
 
-@pytest.mark.parametrize("structure", ("circulant", "toeplitz", "symmetric",
-                                       "sparse", "toeplitz_plus_hankel"))
+@pytest.mark.parametrize("structure", SINGLE_LEVEL)
 def test_program_and_direct_routes_agree_bit_for_bit(structure):
     # one program, one encoding of its parameters and one slot stage; the
     # orders above 32 and the sparse densities reach the index-map plans.
     # A Hankel matrix is prepared by the Toeplitz encoder on its reversed
-    # parameters, so its routes agree to rounding only (see
-    # test_hankel_above_the_dense_threshold).
+    # parameters, which from n = 33 is its own encoder's reversal, index
+    # map and transform; at n <= 32 its encoder is one dense matrix, whose
+    # rows sum in another order, so there its routes agree to rounding only
+    # (see test_hankel_above_the_dense_threshold).
     rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 100)
-    orders = {"symmetric": (1, 4, 9, 16, 32, 64),
+    orders = {"hankel": (33, 64, 512),
+              "symmetric": (1, 4, 9, 16, 32, 64),
               "sparse": (1, 4, 9, 16, 33, 64)}.get(structure,
                                                  (1, 4, 9, 16, 33, 64, 512))
     densities = (0.02, 0.1, 0.5) if structure == "sparse" else (0.5,)
