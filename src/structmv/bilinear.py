@@ -120,11 +120,10 @@ def coefficients(program: BilinearProgram, a) -> np.ndarray:
     return coef
 
 
-def _product(program: BilinearProgram, coef, v,
-             kind: str = "program") -> tuple[np.ndarray, int]:
-    """The product of both routes: ``v`` of shape (n_in,), or (n_in, k) for
-    k vectors, encoded, times ``coef`` and decoded; ``kind`` names the
-    matrix in errors.  Returns (product, count), k times the active slots."""
+def _slots(program: BilinearProgram, coef, v,
+           kind: str = "program") -> np.ndarray:
+    """``v`` of shape (n_in,), or (n_in, k) for k vectors, encoded and
+    times ``coef``; ``kind`` names the matrix in errors."""
     # C order, as in coefficients: dense maps round strided views differently
     v = np.asarray(v, dtype=complex, order="C")
     if v.ndim not in (1, 2):
@@ -136,7 +135,15 @@ def _product(program: BilinearProgram, coef, v,
                          f"input vector length {len(v)}")
     x = program.enc_vec.apply(v)
     x *= coef if v.ndim == 1 else coef[:, None]
-    k = 1 if v.ndim == 1 else v.shape[1]
+    return x
+
+
+def _product(program: BilinearProgram, coef, v,
+             kind: str = "program") -> tuple[np.ndarray, int]:
+    """The product of both routes: the :func:`_slots` of ``v`` decoded.
+    Returns (product, count), k times the active slots for k vectors."""
+    x = _slots(program, coef, v, kind)
+    k = 1 if x.ndim == 1 else x.shape[1]
     return program.dec.apply(x), program.count * k
 
 

@@ -18,13 +18,11 @@ import numpy as np
 from . import bilinear, kernels, multilevel, oracle
 from .structures import (
     KINDS,
-    CirculantRep,
     HankelRep,
     MultilevelRep,
     SparseRep,
     SparsityPattern,
     StructuredMatrix,
-    SymmetricRep,
     ToeplitzPlusHankelRep,
     ToeplitzRep,
     order,
@@ -227,19 +225,9 @@ def _gaussian(rng, size) -> np.ndarray:
 
 def gen_matrix(structure, n, rng, density=0.25, levels=None) -> StructuredMatrix:
     """Pseudorandom instance with standard complex Gaussian parameters."""
-    if structure == "circulant":
-        return CirculantRep(n, _gaussian(rng, n))
-    if structure == "toeplitz":
-        return ToeplitzRep(n, _gaussian(rng, 2 * n - 1))
-    if structure == "hankel":
-        return HankelRep(n, _gaussian(rng, 2 * n - 1))
-    if structure == "symmetric":
-        return SymmetricRep(n, _gaussian(rng, n * (n + 1) // 2))
     if structure == "toeplitz_plus_hankel":
-        return ToeplitzPlusHankelRep(
-            toeplitz=ToeplitzRep(n, _gaussian(rng, 2 * n - 1)),
-            hankel=HankelRep(n, _gaussian(rng, 2 * n - 1)),
-        )
+        return ToeplitzPlusHankelRep(toeplitz=gen_matrix("toeplitz", n, rng),
+                                     hankel=gen_matrix("hankel", n, rng))
     if structure == "sparse":
         mask = rng.random((n, n)) < density
         support = tuple((int(i), int(j)) for i, j in np.argwhere(mask))
@@ -250,7 +238,10 @@ def gen_matrix(structure, n, rng, density=0.25, levels=None) -> StructuredMatrix
         return MultilevelRep(
             tuple(gen_matrix(s, k, rng, density=density) for s, k in levels)
         )
-    raise FileFormatError(f"unknown structure: {structure!r}")
+    cls = _CLASSES.get(structure)
+    if cls is None:
+        raise FileFormatError(f"unknown structure: {structure!r}")
+    return cls(n, _gaussian(rng, cls.size(n)))
 
 
 def _parse_levels(spec: str):
@@ -300,20 +291,20 @@ def _rel_err(got, want) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    if args.structure == "multilevel":
+        if args.n is not None:
+            raise FileFormatError("--n does not apply to multilevel; use --levels")
+    elif args.levels is not None:
+        raise FileFormatError(f"--levels does not apply to {args.structure}")
+    elif args.n is None:
+        raise FileFormatError(f"{args.structure} generation needs --n")
     rng = np.random.default_rng(args.seed)
     if args.structure == "vector":
-        if args.n is None:
-            raise FileFormatError("vector generation needs --n")
-        payload = dumps(vector_to_obj(_gaussian(rng, args.n)))
-        _write_payload(payload, args.output)
+        _write_payload(dumps(vector_to_obj(_gaussian(rng, args.n))), args.output)
         return 0
     levels = _parse_levels(args.levels) if args.levels else None
-    if args.structure == "multilevel":
-        m = gen_matrix("multilevel", None, rng, density=args.density, levels=levels)
-    else:
-        if args.n is None:
-            raise FileFormatError(f"{args.structure} generation needs --n")
-        m = gen_matrix(args.structure, args.n, rng, density=args.density)
+    m = gen_matrix(args.structure, args.n, rng, density=args.density,
+                   levels=levels)
     validate(m)
     _write_payload(dumps(matrix_to_obj(m)), args.output)
     return 0

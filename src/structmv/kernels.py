@@ -167,7 +167,7 @@ def symmetric_program(n: int) -> BilinearProgram:
     map, and the decoder is the vector encoder's transpose: each slot feeds
     back the outputs whose inputs it summed.
     """
-    i, j = np.triu_indices(n)  # row-major, as symmetric_pack_index packs
+    i, j = np.triu_indices(n)  # row-major, as SymmetricRep packs
     dim = len(i)
     slots = np.arange(dim)
     pair = i != j
@@ -178,8 +178,7 @@ def symmetric_program(n: int) -> BilinearProgram:
                      np.stack([i, j], axis=1)[reads])
     # a pair slot reads its own parameter; the diagonal slot of row i reads
     # a_ii and minus every a_ij, at the slots pack[i] in increasing order
-    pack = np.empty((n, n), dtype=np.intp)
-    pack[i, j] = pack[j, i] = slots
+    pack = SymmetricRep.entry(n, np.arange(n)[:, None], np.arange(n))
     per_slot = np.where(pair, 1, n)
     rows = np.repeat(slots, per_slot)
     cols, vals = rows.copy(), np.ones(len(rows))
@@ -297,15 +296,10 @@ def single_level_program(m: StructuredMatrix) -> BilinearProgram:
 
 
 def single_level_params(m: StructuredMatrix) -> np.ndarray:
-    """Raw parameter vector matching :func:`single_level_program`; one of
-    another length than the program takes is a ValueError."""
+    """``m.params``, the raw parameter vector of :func:`single_level_program`;
+    one of another length than the program takes is a ValueError."""
     need = single_level_program(m).d_param
-    if isinstance(m, ToeplitzPlusHankelRep):
-        param = np.concatenate([m.toeplitz.param, m.hankel.param])
-    elif isinstance(m, SparseRep):
-        param = np.asarray(m.values, dtype=complex)
-    else:
-        param = np.asarray(m.param, dtype=complex)
+    param = m.params
     require_params(KINDS[type(m)], m.n, len(param), need)
     return param
 

@@ -96,17 +96,16 @@ def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:
 
 
 def intermediate_w_values(m: MultilevelRep, v) -> np.ndarray:
-    """Top-level pointwise products of the program route, as a matrix.
+    """Top-level pointwise products of the program route on one vector.
 
-    Row s is a head slot, column t a tail slot; inactive slots are zero.
-    Exposed for inspection and testing.
+    As a matrix: row s is a head slot, column t a tail slot; inactive slots
+    are zero.  Exposed for inspection and testing.
     """
     if len(m.levels) < 2:
         raise ValueError("intermediate products need at least two levels")
+    if np.ndim(v) != 1:
+        raise ValueError(f"expected a vector, got shape {np.shape(v)}")
     program = multilevel_program(m)
     coef = bilinear.coefficients(program, param_vector(m))
-    if len(v) != program.n_in:
-        raise ValueError(f"program order {program.n_in} does not match "
-                         f"input vector length {len(v)}")
-    w = program.enc_vec.apply(np.asarray(v, dtype=complex, order="C")) * coef
+    w = bilinear._slots(program, coef, v)
     return w.reshape(kernels.single_level_program(m.levels[0]).r, -1)

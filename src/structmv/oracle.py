@@ -5,41 +5,25 @@ from __future__ import annotations
 import numpy as np
 
 from .structures import (
-    CirculantRep,
-    HankelRep,
     MultilevelRep,
+    ParamRep,
     SparseRep,
     StructuredMatrix,
-    SymmetricRep,
     ToeplitzPlusHankelRep,
-    ToeplitzRep,
 )
 
 
 def dense(m: StructuredMatrix) -> np.ndarray:
     """Entrywise expansion of a structured representation.
 
+    Entry (i, j) of a structure of one vector is ``param[entry(n, i, j)]``.
     Multilevel representations expand each level and take the iterated
     Kronecker product.  Cost is quadratic in the order; intended for
     testing at desk scale only.
     """
-    if isinstance(m, CirculantRep):
-        idx = (np.arange(m.n)[None, :] - np.arange(m.n)[:, None]) % m.n
-        return m.param[idx]
-    if isinstance(m, ToeplitzRep):
-        idx = (np.arange(m.n)[None, :] - np.arange(m.n)[:, None]) + m.n - 1
-        return m.param[idx]
-    if isinstance(m, HankelRep):
-        idx = 2 * m.n - 2 - (np.arange(m.n)[:, None] + np.arange(m.n)[None, :])
-        return m.param[idx]
-    if isinstance(m, SymmetricRep):
-        # the packed position of (i, j), i <= j, as symmetric_pack_index has it
-        i, j = np.triu_indices(m.n)
-        values = m.param[i * m.n - i * (i + 1) // 2 + j]
-        out = np.empty((m.n, m.n), dtype=complex)
-        out[i, j] = values
-        out[j, i] = values
-        return out
+    if isinstance(m, ParamRep):
+        k = np.arange(m.n)
+        return m.param[m.entry(m.n, k[:, None], k)]
     if isinstance(m, ToeplitzPlusHankelRep):
         return dense(m.toeplitz) + dense(m.hankel)
     if isinstance(m, SparseRep):

@@ -1,11 +1,10 @@
 """Parameter-space representations of structured matrices.
 
-Every matrix class is stored by its free parameters only: a circulant by its
-first row, a Toeplitz or Hankel matrix by its 2n-1 distinct entries, a
-symmetric matrix by its packed upper triangle, a sparse matrix by the values
-on its support, and a multilevel matrix by the list of its Kronecker factors.
-All storage is 0-indexed and complex double precision; real inputs are
-promoted with zero imaginary parts.
+Every matrix class is stored by its free parameters only, and owns that
+layout: ``params`` is its raw parameter vector, and each class of one vector
+``param`` states its parameter count and the parameter each entry holds as
+the formulas ``size`` and ``entry``.  All storage is 0-indexed and complex
+double precision; real inputs are promoted with zero imaginary parts.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ class ParamRep:
     """A structure of order n stored as one parameter vector ``param``.
 
     The base of the four structures of this form; equality is identity.
+    Their formulas broadcast over arrays: ``size(n)`` is the parameter count
+    at order n, and ``entry(n, i, j)`` the position of entry (i, j).
     """
 
     n: int
@@ -40,37 +41,66 @@ class ParamRep:
     def __post_init__(self):
         object.__setattr__(self, "param", _cvec(self.param))
 
+    @property
+    def params(self) -> np.ndarray:
+        """The raw parameter vector, ``param`` itself."""
+        return self.param
+
 
 class CirculantRep(ParamRep):
-    """Circulant matrix of order n; ``param`` is the first row.
+    """Circulant matrix of order n; ``param`` is its first row."""
 
-    Entry (i, j) equals ``param[(j - i) % n]``: each row is the cyclic
-    right shift of the previous one.
-    """
+    @staticmethod
+    def size(n):
+        return n
+
+    @staticmethod
+    def entry(n, i, j):
+        return (j - i) % n
 
 
 class ToeplitzRep(ParamRep):
-    """Toeplitz matrix of order n stored as 2n-1 diagonal values.
+    """Toeplitz matrix of order n; ``param`` holds its diagonals from the
+    bottom-left corner to the top-right corner."""
 
-    Entry (i, j) equals ``param[j - i + n - 1]``; param goes from the
-    bottom-left corner to the top-right corner.
-    """
+    @staticmethod
+    def size(n):
+        return 2 * n - 1
+
+    @staticmethod
+    def entry(n, i, j):
+        return j - i + n - 1
 
 
 class HankelRep(ParamRep):
-    """Hankel matrix of order n stored as 2n-1 anti-diagonal values.
+    """Hankel matrix of order n; ``param`` holds its anti-diagonals from
+    the bottom-right corner to the top-left corner."""
 
-    Entry (i, j) equals ``param[2n - 2 - i - j]``; param goes from the
-    bottom-right corner to the top-left corner.
-    """
+    @staticmethod
+    def size(n):
+        return 2 * n - 1
+
+    @staticmethod
+    def entry(n, i, j):
+        return 2 * n - 2 - i - j
 
 
 class SymmetricRep(ParamRep):
-    """Symmetric matrix of order n stored as its packed upper triangle.
+    """Symmetric matrix of order n; ``param`` is its upper triangle packed
+    row by row, and (i, j) and (j, i) share one parameter."""
 
-    Row-major packing: ``param[k] = S[i, j]`` for i <= j with
-    ``k = i*n - i*(i+1)//2 + j`` (see :func:`symmetric_pack_index`).
-    """
+    @staticmethod
+    def size(n):
+        return n * (n + 1) // 2
+
+    @staticmethod
+    def entry(n, i, j):
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        return i * n - i * (i + 1) // 2 + j
+
+
+# the packed position of entry (i, j) of an order-n symmetric matrix
+symmetric_pack_index = SymmetricRep.entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +119,11 @@ class ToeplitzPlusHankelRep:
     @property
     def n(self) -> int:
         return self.toeplitz.n
+
+    @property
+    def params(self) -> np.ndarray:
+        """The raw parameter vector: the Toeplitz then the Hankel values."""
+        return np.concatenate([self.toeplitz.param, self.hankel.param])
 
 
 @dataclass(frozen=True)
@@ -135,6 +170,11 @@ class SparseRep:
     def n(self) -> int:
         return self.pattern.n
 
+    @property
+    def params(self) -> np.ndarray:
+        """The raw parameter vector, ``values`` itself."""
+        return self.values
+
 
 @dataclass(frozen=True, eq=False)
 class MultilevelRep:
@@ -172,17 +212,6 @@ KINDS = {
 }
 
 
-def symmetric_pack_index(n: int, i: int, j: int) -> int:
-    """Packed position of entry (i, j) of an order-n symmetric matrix.
-
-    0-indexed row-major upper triangle; (i, j) and (j, i) map to the same
-    slot.
-    """
-    if i > j:
-        i, j = j, i
-    return i * n - i * (i + 1) // 2 + j
-
-
 def order(m: StructuredMatrix) -> int:
     """Order of the represented square matrix."""
     if isinstance(m, MultilevelRep):
@@ -198,12 +227,8 @@ def param_dim(m: StructuredMatrix) -> int:
     raw storage, because of the all-ones gauge freedom between the two
     components.
     """
-    if isinstance(m, CirculantRep):
-        return m.n
-    if isinstance(m, (ToeplitzRep, HankelRep)):
-        return 2 * m.n - 1
-    if isinstance(m, SymmetricRep):
-        return m.n * (m.n + 1) // 2
+    if isinstance(m, ParamRep):
+        return m.size(m.n)
     if isinstance(m, ToeplitzPlusHankelRep):
         return 4 * m.n - 3
     if isinstance(m, SparseRep):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -33,6 +34,35 @@ def test_gen_is_deterministic(tmp_path):
     assert r1.stdout == r2.stdout
     obj = json.loads(r1.stdout)
     assert obj["structure"] == "circulant" and obj["n"] == 4
+
+
+# sha256 of `gen --structure <key> --seed 3`: a document depends on the
+# parameter count, the draw order and the serialization
+_GEN_DIGESTS = {
+    "circulant --n 5":
+        "8f7a1746d1f00312ae8495fbb7c71c7c88820b873907ac154e6d9ffdb01d3005",
+    "toeplitz --n 5":
+        "e25149f86995c202e3d2a25752a9f2fe6a1a32b06acdcb55bc5661c7e38f371a",
+    "hankel --n 5":
+        "bbb58353c4683b7fcdf04afba2b77da3bc5fd3625b9ef07ee0befe060bbc15a8",
+    "symmetric --n 5":
+        "8f23b03463d01be9b18db8e3d7a2c2826c149b672a297f9e22f24c279e75eee9",
+    "toeplitz_plus_hankel --n 5":
+        "757ce27724e2ce581edb5e9cfe6308e250bdbb888612c4458bd685ed8bb140f7",
+    "sparse --n 5":
+        "3507b4d1e5f32db6d82a51ed049ecabc865ab6b15dd974a72bfe73a6a94340b4",
+    "sparse --n 5 --density 0.6":
+        "2fbb21aa26caa64bc260719b31b19ccfcde8e54cd76cb6e4eebaa163318e0a1f",
+    "multilevel --levels toeplitz_plus_hankel:2,sparse:3,symmetric:2":
+        "e8408cbc68aacf35ccea2739a84fadf03935e2f0a36ad07a41788c45cd7cc6d5",
+}
+
+
+@pytest.mark.parametrize("key", list(_GEN_DIGESTS))
+def test_gen_documents_are_pinned(capsys, key):
+    assert cli.main(["gen", "--structure", *key.split(), "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _GEN_DIGESTS[key]
 
 
 def test_gen_multilevel_order(tmp_path):
@@ -401,6 +431,8 @@ def test_deeply_nested_json_exits_2(tmp_path, deep):
     ["gen", "--structure", "circulant", "--n", "-2"],
     ["count", "--n", "0"],
     ["count", "--n", "1", "--n-max", "0"],
+    ["gen", "--structure", "circulant", "--n", "2", "--levels", "toeplitz:3"],
+    ["gen", "--structure", "multilevel", "--n", "9", "--levels", "circulant:2"],
 ])
 def test_out_of_range_arguments_exit_2(tmp_path, args):
     r = run_cli(args, tmp_path)

@@ -159,6 +159,23 @@ def test_intermediate_w_values_needs_two_levels():
         )
 
 
+@pytest.mark.parametrize("v", [np.ones((4, 4)), np.ones((4, 3)), 1.0],
+                         ids=["square-block", "block", "scalar"])
+def test_intermediate_w_values_takes_only_a_vector(v):
+    with pytest.raises(ValueError, match="expected a vector"):
+        multilevel.intermediate_w_values(_bccb(1, 2, 3, 4), v)
+
+
+def test_intermediate_w_values_words_a_length_mismatch_as_apply():
+    m = _bccb(1, 2, 3, 4)
+    with pytest.raises(ValueError) as want:
+        bilinear.apply(multilevel.multilevel_program(m),
+                       multilevel.param_vector(m), [1, 2, 3])
+    with pytest.raises(ValueError) as got:
+        multilevel.intermediate_w_values(m, [1, 2, 3])
+    assert str(got.value) == str(want.value)
+
+
 def test_direct_rejects_length_mismatch():
     with pytest.raises(ValueError):
         multilevel.multilevel_matvec_direct(_bccb(1, 2, 3, 4), [1, 2, 3])

@@ -3,7 +3,6 @@ import pytest
 
 import structmv as sm
 from structmv import oracle
-from structmv.structures import symmetric_pack_index
 from util import SINGLE_LEVEL, gaussian, random_instance
 
 
@@ -33,11 +32,35 @@ def test_dense_two_level_circulant():
 
 
 def test_dense_symmetric_matches_pack_formula():
+    # the packing by a walk of the upper triangle, row by row, with a
+    # counter, not by the formula that oracle.dense reads
     rng = np.random.default_rng(30)
     for n in range(1, 13):
         m = random_instance("symmetric", n, rng)
-        want = np.array([[m.param[symmetric_pack_index(n, i, j)]
-                          for j in range(n)] for i in range(n)])
+        want = np.empty((n, n), dtype=complex)
+        k = 0
+        for i in range(n):
+            for j in range(i, n):
+                want[i, j] = want[j, i] = m.param[k]
+                k += 1
+        assert k == len(m.param)
+        np.testing.assert_array_equal(oracle.dense(m), want)
+
+
+@pytest.mark.parametrize("structure, index", [
+    ("circulant", lambda n, i, j: (j - i) % n),
+    ("toeplitz", lambda n, i, j: j - i + n - 1),
+    ("hankel", lambda n, i, j: 2 * n - 2 - i - j),
+])
+def test_dense_matches_entry_formula_by_loop(structure, index):
+    rng = np.random.default_rng(32)
+    for n in range(1, 13):
+        m = random_instance(structure, n, rng)
+        want = np.empty((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                assert m.entry(n, i, j) == index(n, i, j)
+                want[i, j] = m.param[index(n, i, j)]
         np.testing.assert_array_equal(oracle.dense(m), want)
 
 

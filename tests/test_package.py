@@ -1,11 +1,14 @@
-"""The package's public names."""
+"""The package's public names and import boundaries."""
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import structmv as sm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "structmv"
 
 
 def test_all_is_sorted_without_duplicates_and_resolves():
@@ -35,3 +38,20 @@ def _resolves(obj, parts) -> bool:
             return False
         obj = getattr(obj, part)
     return True
+
+
+def test_oracle_and_structures_import_no_program_code():
+    # the oracle is ground truth for the programs, so it and the layouts it
+    # reads stay independent of kernels, operators and the rest
+    for name in ("oracle.py", "structures.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                found.add("." * node.level + module if node.level
+                          else module.split(".")[0])
+        allowed = set(sys.stdlib_module_names) | {"numpy", ".structures"}
+        assert found - allowed == set(), name
