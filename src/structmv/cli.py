@@ -298,13 +298,17 @@ def cmd_gen(args) -> int:
         raise FileFormatError(f"--levels does not apply to {args.structure}")
     elif args.n is None:
         raise FileFormatError(f"{args.structure} generation needs --n")
+    levels = _parse_levels(args.levels) if args.levels else None
+    names = [name for name, _ in levels] if levels else [args.structure]
+    if args.density is not None and "sparse" not in names:
+        raise FileFormatError(
+            f"--density does not apply to {args.levels or args.structure}")
     rng = np.random.default_rng(args.seed)
     if args.structure == "vector":
         _write_payload(dumps(vector_to_obj(_gaussian(rng, args.n))), args.output)
         return 0
-    levels = _parse_levels(args.levels) if args.levels else None
-    m = gen_matrix(args.structure, args.n, rng, density=args.density,
-                   levels=levels)
+    m = gen_matrix(args.structure, args.n, rng, levels=levels,
+                   density=0.25 if args.density is None else args.density)
     validate(m)
     _write_payload(dumps(matrix_to_obj(m)), args.output)
     return 0
@@ -511,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=STRUCTURES + ("vector",))
     gen.add_argument("--n", type=_positive_int)
     gen.add_argument("--levels", help="multilevel spec, e.g. circulant:2,toeplitz:3")
-    gen.add_argument("--density", type=_density, default=0.25,
+    gen.add_argument("--density", type=_density,
                      help="sparse support density (default 0.25)")
     gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("-o", "--output", help="output path (default stdout)")

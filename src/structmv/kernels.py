@@ -14,24 +14,27 @@ The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
 into a circulant of twice the order with the free first-row entry chosen as
 minus the parameter sum, which zeroes the frequency-0 slot and saves one
 multiplication; its vector encoder and decoder are single order-2n
-transforms windowed to n columns and n rows.  Hankel is the Toeplitz
-program between two reversals, a gather of the parameters before its
-parameter encoder and one of the output after its decoder, so the Toeplitz
-family keeps one embedding map; from order 33 on, a Hankel product's two
-routes give the same bits.  Symmetric forms one product per entry pair,
-a_ij (v_i + v_j), and one per diagonal entry, (a_ii - sum_{j != i} a_ij) v_i,
-with index maps only.  Toeplitz-plus-Hankel shifts a multiple of the
-all-ones matrix between its two components so that the Toeplitz part's
-frequency-1 slot vanishes as well, saving a second multiplication; the
-shift is an index map on the slots of the program's parameter encoder, so
-the direct route and a multilevel level run it on the raw 4n-2 parameters
-too.  Its Hankel branch moves the output reversal onto its frequency slots
-(the FFT flip identity), so both branches share one forward and one
-inverse transform.  Sparse is the usual support-driven matvec, as one
-gather, one multiply and one segmented sum; a sparse decoder whose rows
-mostly hold one or two entries sums by two gathers instead.  Whether a map
-applies as a small dense matrix, an index map or ``np.fft`` is decided
-once, when the program stores it, the same on both routes.
+transforms windowed to n columns and n rows.  A Hankel matrix with
+parameters h is the Toeplitz matrix with the same h times the exchange J,
+H_h = T_h J, so the Hankel program is the Toeplitz program after a
+reversal of the input: the Toeplitz family keeps one embedding and one
+parameter encoder, and a Hankel matrix's coefficients are those of the
+Toeplitz matrix with its parameters.  Symmetric forms one product per
+entry pair, a_ij (v_i + v_j), and one per diagonal entry,
+(a_ii - sum_{j != i} a_ij) v_i, with index maps only.
+Toeplitz-plus-Hankel shifts a multiple of the all-ones matrix between its
+two components so that the Toeplitz part's frequency-1 slot vanishes as
+well, saving a second multiplication; the shift is an index map on the
+slots of the program's parameter encoder, so the direct route and a
+multilevel level run it on the raw 4n-2 parameters too.  By H_h = T_h J,
+its Hankel branch reads the shared forward transform at -k and weighs each
+slot by a fixed root of unity, so both branches share one forward and one
+inverse transform.  Sparse is the
+usual support-driven matvec, as one gather, one multiply and one
+segmented sum; a sparse decoder whose rows mostly hold one or two entries
+sums by two gathers instead.  Whether a map applies as a small dense
+matrix, an index map or ``np.fft`` is decided once, when the program
+stores it, the same on both routes.
 """
 
 from __future__ import annotations
@@ -64,24 +67,21 @@ class EmbeddingSpec:
 
     ``op`` maps the 2n-1 Toeplitz parameters to the circulant's first row
     (t_n..t_{2n-1}, b, t_1..t_{n-1} in 1-indexed terms) with b = -sum(t),
-    so the first row always sums to zero.  The program builders apply or
-    re-index ``op``; :meth:`embed` builds the row by slicing instead, with
-    an optional other ``b``.
+    so the first row always sums to zero.
     """
 
     n: int
     op: Select
 
     def embed(self, param, b=None) -> np.ndarray:
-        """First row of the embedding circulant; ``b`` overrides the free
-        entry (the product's first n outputs do not depend on it)."""
-        n = self.n
+        """First row of the embedding circulant, ``op @ param``; ``b``
+        overrides the free entry (the product's first n outputs do not
+        depend on it)."""
         param = np.asarray(param, dtype=complex).reshape(-1)
-        require_params("toeplitz", n, len(param), 2 * n - 1)
-        c = np.empty(2 * n, dtype=complex)
-        c[:n] = param[n - 1:]
-        c[n] = -param.sum() if b is None else b
-        c[n + 1:] = param[:n - 1]
+        require_params("toeplitz", self.n, len(param), 2 * self.n - 1)
+        c = self.op @ param
+        if b is not None:
+            c[self.n] = b
         return c
 
 
@@ -136,21 +136,18 @@ def toeplitz_program(n: int) -> BilinearProgram:
 
 @lru_cache(maxsize=64)
 def hankel_program(n: int) -> BilinearProgram:
-    """2n-1 multiplications: the Toeplitz program between two reversals.
+    """2n-1 multiplications: H_h = T_h J, the Toeplitz program after the
+    reversal J of the input.
 
-    The parameter encoder is the Toeplitz encoder after the reversal of
-    the 2n-1 parameters, and the decoder the reversal of order n after the
-    Toeplitz decoder; the vector encoder and the slots are Toeplitz's.
-    From n = 33 on, the encoder runs the same reversal, index map and
-    transform as :func:`structmv.multilevel.prepare` does for a Hankel
-    level, so both routes give the same bits.  Below, the encoder is
-    stored as the dense matrix (W E) J, whose rows sum in another order.
+    The parameter encoder, the decoder and the slots are Toeplitz's own, so
+    a Hankel matrix's coefficients are bit for bit those of the Toeplitz
+    matrix with the same parameters, and both routes encode it alike.
     """
-    tp, m = toeplitz_program(n), 2 * n - 1
+    tp = toeplitz_program(n)
     return BilinearProgram(
-        enc_param=compose(tp.enc_param, Select.take(m, np.arange(m)[::-1])),
-        enc_vec=tp.enc_vec,
-        dec=compose(Select.take(n, np.arange(n)[::-1]), tp.dec),
+        enc_param=tp.enc_param,
+        enc_vec=compose(tp.enc_vec, Select.take(n, np.arange(n)[::-1])),
+        dec=tp.dec,
         active=tp.active,
     )
 
@@ -205,43 +202,39 @@ def tph_program(n: int) -> BilinearProgram:
     from its own embedding and frequency 1 from the shift.
 
     Both branches share the forward transform X of the padded vector and
-    the Toeplitz decoder, so a product takes one transform each way.  The
-    FFT flip identity moves the Hankel branch's output reversal onto its
-    slots: with w = exp(i*pi/n), W the order-2n Fourier matrix, F_n its
-    first n rows, P the gather k -> -k mod 2n and D = diag(w^((n-1)k)),
-    the exchange J of order n satisfies J F_n W = F_n W P D, and
-    P D W = W Q with Q the gather q -> (n+1-q) mod 2n.  So the reversed
-    Toeplitz product J F_n W (s * X) is F_n W ((P D s) * (P X)): the Hankel
-    slots read X at -k, their coefficients are the transform of Q, the
-    embedding E and J applied to h + a, and the decoder sums the two slot
-    vectors before its one windowed inverse transform.  P fixes slot 0, so
-    the Hankel branch's frequency-0 slot stays the inactive one.
+    the Toeplitz decoder, so a product takes one transform each way.  By
+    H_h = T_h J the Hankel branch is a Toeplitz product on the reversed
+    vector, whose transform at slot k is d_k X_{-k}, with
+    d_k = exp(-2*pi*i*(n-1)*k/N) for a transform of any order N; here
+    N = 2n and d_k = (-1)^k w^k with w = exp(i*pi/n).  So the Hankel slots
+    read X at -k and weigh their coefficients by d_k, and the decoder sums
+    the two slot vectors before its one windowed inverse transform.
 
-    The parameter encoder is one index map to Q E J h and E t, one batched
-    transform of both, and the shift, an index map on the slots.  With
-    T = W E t and H = W Q E J h, the shift is a = T_1 / (2n), and E 1 is
-    1 - 2n e_n, so W E 1 = -2n (-1)^k and W Q E 1 = W (1 - 2n e_1) =
-    -2n w^k at k != 0 (both are 0 at k = 0).  Slot k != 0 of the Toeplitz
-    branch is T_k + (-1)^k T_1, which is 0 at k = 1, and of the Hankel
-    branch H_k - w^k T_1.
+    The parameter encoder is one index map to E h and E t, one batched
+    transform of both, and the slot map.  With T = W E t and H = W E h, the
+    shift is a = T_1 / (2n), and E 1 is 1 - 2n e_n, so W E 1 = -2n (-1)^k
+    at k != 0 (0 at k = 0).  Slot k != 0 of the Toeplitz branch is
+    T_k + (-1)^k T_1, which is 0 at k = 1, and of the Hankel branch
+    d_k (H_k - (-1)^k T_1) = d_k H_k - w^k T_1.
     """
     m, k = 2 * n - 1, np.arange(2 * n)
-    # Q E J on h, with Q's row gather and J's column reversal applied to
-    # the embedding's entries, then E on t
+    # E on h into the Hankel slots, then E on t into the Toeplitz slots
     emb = toeplitz_embedding(n).op
     embed = Select((4 * n, 2 * m),
-                   np.concatenate([(n + 1 - emb.rows) % (2 * n),
-                                   2 * n + emb.rows]),
-                   np.concatenate([2 * m - 1 - emb.cols, emb.cols]),
+                   np.concatenate([emb.rows, 2 * n + emb.rows]),
+                   np.concatenate([m + emb.cols, emb.cols]),
                    np.concatenate([emb.vals, emb.vals]))
-    # slot j is itself plus gain[j] times slot 2n+1, the Toeplitz branch's
-    # frequency 1, which thereby cancels to an empty row
-    gain = np.concatenate([-np.exp(1j * np.pi * k / n), (-1.0) ** k])
+    # slot j is weight[j] times itself plus gain[j] times slot 2n+1, the
+    # Toeplitz branch's frequency 1, which thereby cancels to an empty row;
+    # d_k is formed from angles below 2 pi, which keeps it accurate
+    w = np.exp(1j * np.pi * k / n)
+    weight = np.concatenate([(-1.0) ** k * w, np.ones(2 * n)])
+    gain = np.concatenate([-w, (-1.0) ** k])
     gain[[0, 2 * n]] = 0
     slots = np.arange(4 * n)
     shift = Select((4 * n, 4 * n), np.concatenate([slots, slots]),
                    np.concatenate([slots, np.full(4 * n, 2 * n + 1)]),
-                   np.concatenate([np.ones(4 * n), gain]))
+                   np.concatenate([weight, gain]))
     tp = toeplitz_program(n)
     active = np.concatenate([tp.active, tp.active])
     active[2 * n + 1] = False  # frequency 1 of the Toeplitz branch

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bilinear, kernels
 from .bilinear import BilinearProgram
-from .structures import KINDS, HankelRep, MultilevelRep, StructuredMatrix
+from .structures import KINDS, MultilevelRep, StructuredMatrix
 
 
 def _kron_vectors(vectors) -> np.ndarray:
@@ -68,23 +68,11 @@ def prepare(m: StructuredMatrix) -> bilinear.Prepared:
 def _encode(m: StructuredMatrix) -> bilinear.Prepared:
     # the Kronecker encoder applied to param_vector(m) is the Kronecker
     # product of the levels' encoded parameters, which costs far less
-    coef = _kron_vectors([_level_coefficients(level) for level in _levels(m)])
+    coef = _kron_vectors([
+        bilinear.coefficients(kernels.single_level_program(level),
+                              kernels.single_level_params(level))
+        for level in _levels(m)])
     return bilinear.Prepared(KINDS[type(m)], multilevel_program(m), coef)
-
-
-def _level_coefficients(level: StructuredMatrix) -> np.ndarray:
-    """:func:`bilinear.coefficients` of ``level``'s own program.  A Hankel
-    level takes the Toeplitz encoder on its reversed parameters, so that a
-    Hankel product is the reversed Toeplitz product bit for bit.  From
-    order 33 on, that is what the Hankel encoder itself runs, the reversal
-    before the Toeplitz encoder, so both routes give the same bits; below,
-    the Hankel encoder is one dense matrix whose rows sum in another order,
-    and the two routes agree to rounding."""
-    param = kernels.single_level_params(level)
-    if isinstance(level, HankelRep):
-        return bilinear.coefficients(kernels.toeplitz_program(level.n),
-                                     param[::-1])
-    return bilinear.coefficients(kernels.single_level_program(level), param)
 
 
 def multilevel_matvec_direct(m: MultilevelRep, v) -> tuple[np.ndarray, int]:

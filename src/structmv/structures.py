@@ -56,7 +56,7 @@ class CirculantRep(ParamRep):
 
     @staticmethod
     def entry(n, i, j):
-        return (j - i) % n
+        return j - i + n * (j < i)
 
 
 class ToeplitzRep(ParamRep):

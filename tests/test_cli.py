@@ -433,6 +433,10 @@ def test_deeply_nested_json_exits_2(tmp_path, deep):
     ["count", "--n", "1", "--n-max", "0"],
     ["gen", "--structure", "circulant", "--n", "2", "--levels", "toeplitz:3"],
     ["gen", "--structure", "multilevel", "--n", "9", "--levels", "circulant:2"],
+    ["gen", "--structure", "circulant", "--n", "2", "--density", "0.5"],
+    ["gen", "--structure", "vector", "--n", "2", "--density", "0.5"],
+    ["gen", "--structure", "multilevel", "--levels", "circulant:2,toeplitz:2",
+     "--density", "0.5"],
 ])
 def test_out_of_range_arguments_exit_2(tmp_path, args):
     r = run_cli(args, tmp_path)

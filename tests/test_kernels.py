@@ -71,7 +71,8 @@ def test_toeplitz_vector_maps_are_single_windowed_transforms():
 
 def test_fft_flip_identity():
     # J F_n W = F_n W P D, and P D W = W Q with Q the gather q -> (n+1-q)
-    # mod 2n; Q, the embedding and J form tph_program's Hankel index map
+    # mod 2n; tph_program's Hankel rows, d_k times the transform of E h,
+    # equal the transform of Q E J h
     for n in (1, 2, 3, 4, 7, 16):
         w = transform.fourier_matrix(2 * n)
         k = np.arange(2 * n)
@@ -143,34 +144,45 @@ def test_hankel_count_is_2n_minus_1():
         assert kernels.hankel_program(n).count == 2 * n - 1
 
 
-def test_hankel_is_reversed_toeplitz_on_reversed_params():
+def test_hankel_is_toeplitz_times_the_exchange():
+    # H_h = T_h J: a Hankel matrix has the coefficients of the Toeplitz
+    # matrix with the same parameters, and its vector encoder is Toeplitz's
+    # with the columns reversed
     rng = np.random.default_rng(2)
-    for n in (1, 3, 6, 33, 64):
+    for n in (1, 3, 6, 33, 45, 46, 64, 512):
         h = gaussian(rng, 2 * n - 1)
         v = gaussian(rng, n)
-        hankel, _ = kernels.direct_matvec(sm.HankelRep(n, h), v)
-        toeplitz, _ = kernels.direct_matvec(sm.ToeplitzRep(n, h[::-1]), v)
-        np.testing.assert_array_equal(hankel, toeplitz[::-1])
+        hankel, toeplitz = sm.HankelRep(n, h), sm.ToeplitzRep(n, h)
+        np.testing.assert_array_equal(sm.prepare(hankel).coef,
+                                      sm.prepare(toeplitz).coef)
+        np.testing.assert_array_equal(
+            kernels.hankel_program(n).enc_vec.to_dense(),
+            kernels.toeplitz_program(n).enc_vec.to_dense()[:, ::-1])
+        got, _ = kernels.direct_matvec(hankel, v)
+        want, _ = kernels.direct_matvec(toeplitz, v[::-1])
+        if n >= 46:
+            np.testing.assert_array_equal(got, want)
+        else:
+            # the vector encoder is one dense matrix, F J, whose rows sum
+            # the input in another order than F's rows sum J v
+            assert rel_err(got, want) < 1e-12
 
 
-@pytest.mark.parametrize("n", [32, 33, 64, 512])
+@pytest.mark.parametrize("n", [32, 33, 45, 46, 64, 512])
 def test_hankel_above_the_dense_threshold(n):
-    # from n = 33 the parameter encoder is the Toeplitz encoder, the
-    # order-2n transform of the cached embedding, after a reversal gather
+    # the parameter encoder and the decoder are the Toeplitz program's own;
+    # from n = 46 the vector encoder is the Toeplitz transform after a
+    # reversal gather, and below it is stored as one dense matrix
     rng = np.random.default_rng(n)
     m = random_instance("hankel", n, rng)
-    program = kernels.hankel_program(n)
-    assert isinstance(program.enc_param, operators.Dense) == (n <= 32)
-    if n > 32:
-        fourier, embedding, reversal = program.enc_param.ops
-        assert isinstance(fourier, operators.Fourier)
-        assert embedding is kernels.toeplitz_embedding(n).op
+    program, tp = kernels.hankel_program(n), kernels.toeplitz_program(n)
+    assert program.enc_param is tp.enc_param and program.dec is tp.dec
+    assert isinstance(program.enc_vec, operators.Dense) == (n <= 45)
+    if n > 45:
+        fourier, reversal = program.enc_vec.ops
+        assert isinstance(fourier, operators.Fourier) and fourier is tp.enc_vec
         assert isinstance(reversal, operators.Select) and reversal.is_gather
-        np.testing.assert_array_equal(reversal.cols,
-                                      np.arange(2 * n - 1)[::-1])
-        np.testing.assert_array_equal(
-            embedding.to_dense() @ reversal.to_dense(),
-            kernels.toeplitz_embedding(n).op.to_dense()[:, ::-1])
+        np.testing.assert_array_equal(reversal.cols, np.arange(n)[::-1])
     params = kernels.single_level_params(m)
     v = gaussian(rng, (n, 3))
     dense = oracle.dense(m)
@@ -406,6 +418,22 @@ def test_tph_above_the_dense_threshold(n):
     assert report.match and report.measured == program.count == 4 * n - 3
 
 
+@pytest.mark.parametrize("structure", ["hankel", "toeplitz_plus_hankel"])
+@pytest.mark.parametrize("n", [512, 1024])
+def test_hankel_phases_keep_full_accuracy(structure, n):
+    # the Hankel slot weights d_k are roots of unity formed from angles
+    # below 2 pi; from the unreduced angle pi (n-1) k / n they lose about
+    # two digits, which the 1e-9 gate would not see
+    rng = np.random.default_rng(n + 7)
+    m = random_instance(structure, n, rng)
+    v = gaussian(rng, n)
+    want = oracle.dense(m) @ v
+    program = kernels.single_level_program(m)
+    got, _ = bilinear.apply(program, kernels.single_level_params(m), v)
+    assert rel_err(got, want) < 1e-14
+    assert rel_err(kernels.direct_matvec(m, v)[0], want) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # sparse
 # ---------------------------------------------------------------------------
@@ -629,15 +657,9 @@ def test_prepared_inactive_slots_hold_the_constant_zero(structure):
 @pytest.mark.parametrize("structure", SINGLE_LEVEL)
 def test_program_and_direct_routes_agree_bit_for_bit(structure):
     # one program, one encoding of its parameters and one slot stage; the
-    # orders above 32 and the sparse densities reach the index-map plans.
-    # A Hankel matrix is prepared by the Toeplitz encoder on its reversed
-    # parameters, which from n = 33 is its own encoder's reversal, index
-    # map and transform; at n <= 32 its encoder is one dense matrix, whose
-    # rows sum in another order, so there its routes agree to rounding only
-    # (see test_hankel_above_the_dense_threshold).
+    # orders above 32 and the sparse densities reach the index-map plans
     rng = np.random.default_rng(SINGLE_LEVEL.index(structure) + 100)
-    orders = {"hankel": (33, 64, 512),
-              "symmetric": (1, 4, 9, 16, 32, 64),
+    orders = {"symmetric": (1, 4, 9, 16, 32, 64),
               "sparse": (1, 4, 9, 16, 33, 64)}.get(structure,
                                                  (1, 4, 9, 16, 33, 64, 512))
     densities = (0.02, 0.1, 0.5) if structure == "sparse" else (0.5,)

@@ -55,3 +55,17 @@ def test_oracle_and_structures_import_no_program_code():
                           else module.split(".")[0])
         allowed = set(sys.stdlib_module_names) | {"numpy", ".structures"}
         assert found - allowed == set(), name
+
+
+def test_multilevel_names_no_single_level_structure():
+    # prepare encodes every level by its own program, so multilevel has no
+    # branch on a level's structure
+    single = {"ParamRep", "CirculantRep", "ToeplitzRep", "HankelRep",
+              "SymmetricRep", "ToeplitzPlusHankelRep", "SparseRep"}
+    tree = ast.parse((PACKAGE / "multilevel.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert names & single == set()

@@ -35,9 +35,9 @@ def _exchange(n):
 
 
 def test_exchange():
-    # the exchange map that hankel_program's decoder applies last
+    # the exchange map that hankel_program's vector encoder applies first
     np.testing.assert_array_equal(
-        hankel_program(64).dec.ops[0].to_dense(), np.eye(64)[::-1])
+        hankel_program(64).enc_vec.ops[1].to_dense(), np.eye(64)[::-1])
     np.testing.assert_array_equal(_exchange(3) @ np.array([1, 2, 3]), [3, 2, 1])
     np.testing.assert_array_equal(_exchange(2) @ np.array([5, 7]), [7, 5])
     v = np.arange(6, dtype=complex)
