@@ -290,6 +290,16 @@ def _rel_err(got, want) -> float:
 # commands
 # ---------------------------------------------------------------------------
 
+def _sparse_density(density, names, label) -> float:
+    """``--density``, or 0.25 if it is not given; an error if it is given
+    and none of ``names``, the structures generated, is sparse."""
+    if density is None:
+        return 0.25
+    if "sparse" not in names:
+        raise FileFormatError(f"--density does not apply to {label}")
+    return density
+
+
 def cmd_gen(args) -> int:
     if args.structure == "multilevel":
         if args.n is not None:
@@ -300,15 +310,12 @@ def cmd_gen(args) -> int:
         raise FileFormatError(f"{args.structure} generation needs --n")
     levels = _parse_levels(args.levels) if args.levels else None
     names = [name for name, _ in levels] if levels else [args.structure]
-    if args.density is not None and "sparse" not in names:
-        raise FileFormatError(
-            f"--density does not apply to {args.levels or args.structure}")
+    density = _sparse_density(args.density, names, args.levels or args.structure)
     rng = np.random.default_rng(args.seed)
     if args.structure == "vector":
         _write_payload(dumps(vector_to_obj(_gaussian(rng, args.n))), args.output)
         return 0
-    m = gen_matrix(args.structure, args.n, rng, levels=levels,
-                   density=0.25 if args.density is None else args.density)
+    m = gen_matrix(args.structure, args.n, rng, levels=levels, density=density)
     validate(m)
     _write_payload(dumps(matrix_to_obj(m)), args.output)
     return 0
@@ -379,12 +386,13 @@ def cmd_count(args) -> int:
     n_hi = args.n_max if args.n_max is not None else n_lo
     if n_hi < n_lo:
         raise FileFormatError(f"--n-max {n_hi} is below --n {n_lo}")
+    density = _sparse_density(args.density, names, args.structure)
     rows = []
     for name in names:
         for n in range(n_lo, n_hi + 1):
             seed = args.seed + n if name == "sparse" else 0
             m = gen_matrix(name, n, np.random.default_rng(seed),
-                           density=args.density)
+                           density=density)
             theoretical = param_dim(m)
             report = bilinear.prune_check(kernels.single_level_program(m))
             match = report.match and report.measured == theoretical
@@ -402,10 +410,12 @@ def cmd_count(args) -> int:
 
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
-    if args.levels:
-        levels = _parse_levels(args.levels)
+    levels = _parse_levels(args.levels) if args.levels else None
+    names = [name for name, _ in levels] if levels else [args.structure]
+    density = _sparse_density(args.density, names, args.levels or args.structure)
+    if levels:
         instances = [("multilevel", gen_matrix(
-            "multilevel", None, rng, density=args.density, levels=levels))]
+            "multilevel", None, rng, density=density, levels=levels))]
     else:
         sizes = []
         n = 2
@@ -415,7 +425,7 @@ def cmd_bench(args) -> int:
         if not sizes:
             raise FileFormatError(f"--n-max {args.n_max} is below 2")
         instances = [
-            (args.structure, gen_matrix(args.structure, n, rng, density=args.density))
+            (args.structure, gen_matrix(args.structure, n, rng, density=density))
             for n in sizes
         ]
     rows = []
@@ -544,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cnt.add_argument("--n", type=_positive_int, default=1,
                      help="first order (default 1)")
     cnt.add_argument("--n-max", type=_positive_int, help="last order (default --n)")
-    cnt.add_argument("--density", type=_density, default=0.25)
+    cnt.add_argument("--density", type=_density, help="sparse density (default 0.25)")
     cnt.add_argument("--seed", type=_seed, default=0)
     cnt.set_defaults(fn=cmd_count)
 
@@ -555,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--n-max", type=int, default=256)
     ben.add_argument("--reps", type=_positive_int, default=5)
     ben.add_argument("--csv", help="output path (default stdout)")
-    ben.add_argument("--density", type=_density, default=0.25)
+    ben.add_argument("--density", type=_density, help="sparse density (default 0.25)")
     ben.add_argument("--seed", type=_seed, default=0)
     ben.set_defaults(fn=cmd_bench)
 

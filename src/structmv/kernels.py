@@ -24,17 +24,17 @@ entry pair, a_ij (v_i + v_j), and one per diagonal entry,
 (a_ii - sum_{j != i} a_ij) v_i, with index maps only.
 Toeplitz-plus-Hankel shifts a multiple of the all-ones matrix between its
 two components so that the Toeplitz part's frequency-1 slot vanishes as
-well, saving a second multiplication; the shift is an index map on the
-slots of the program's parameter encoder, so the direct route and a
-multilevel level run it on the raw 4n-2 parameters too.  By H_h = T_h J,
-its Hankel branch reads the shared forward transform at -k and weighs each
-slot by a fixed root of unity, so both branches share one forward and one
-inverse transform.  Sparse is the
-usual support-driven matvec, as one gather, one multiply and one
-segmented sum; a sparse decoder whose rows mostly hold one or two entries
-sums by two gathers instead.  Whether a map applies as a small dense
-matrix, an index map or ``np.fft`` is decided once, when the program
-stores it, the same on both routes.
+well, saving a second multiplication.  Its parameter encoder is the
+Toeplitz program's own on each component, then the shift as an index map
+on the slots, so the direct route and a multilevel level run it on the
+raw 4n-2 parameters too.  By H_h = T_h J, its Hankel branch reads the
+shared forward transform at -k and weighs each slot by a fixed root of
+unity, so both branches share one forward and one inverse transform.
+Sparse is the usual support-driven matvec, as one gather, one multiply
+and one segmented sum; a sparse decoder whose rows mostly hold one or two
+entries sums by two gathers instead.  Whether a map applies as a small
+dense matrix, an index map or ``np.fft`` is decided once, when the
+program stores it, the same on both routes.
 """
 
 from __future__ import annotations
@@ -73,16 +73,11 @@ class EmbeddingSpec:
     n: int
     op: Select
 
-    def embed(self, param, b=None) -> np.ndarray:
-        """First row of the embedding circulant, ``op @ param``; ``b``
-        overrides the free entry (the product's first n outputs do not
-        depend on it)."""
+    def embed(self, param) -> np.ndarray:
+        """First row of the embedding circulant, ``op @ param``."""
         param = np.asarray(param, dtype=complex).reshape(-1)
         require_params("toeplitz", self.n, len(param), 2 * self.n - 1)
-        c = self.op @ param
-        if b is not None:
-            c[self.n] = b
-        return c
+        return self.op @ param
 
 
 @lru_cache(maxsize=64)
@@ -210,20 +205,13 @@ def tph_program(n: int) -> BilinearProgram:
     read X at -k and weigh their coefficients by d_k, and the decoder sums
     the two slot vectors before its one windowed inverse transform.
 
-    The parameter encoder is one index map to E h and E t, one batched
-    transform of both, and the slot map.  With T = W E t and H = W E h, the
-    shift is a = T_1 / (2n), and E 1 is 1 - 2n e_n, so W E 1 = -2n (-1)^k
-    at k != 0 (0 at k = 0).  Slot k != 0 of the Toeplitz branch is
-    T_k + (-1)^k T_1, which is 0 at k = 1, and of the Hankel branch
-    d_k (H_k - (-1)^k T_1) = d_k H_k - w^k T_1.
+    The parameter encoder is the Toeplitz encoder W E on h and on t, then
+    the slot map.  With T = W E t and H = W E h, the shift is a = T_1 / (2n),
+    and E 1 is 1 - 2n e_n, so W E 1 = -2n (-1)^k at k != 0 (0 at k = 0).
+    Slot k != 0 of the Toeplitz branch is T_k + (-1)^k T_1, 0 at k = 1, and
+    of the Hankel branch d_k (H_k - (-1)^k T_1) = d_k H_k - w^k T_1.
     """
-    m, k = 2 * n - 1, np.arange(2 * n)
-    # E on h into the Hankel slots, then E on t into the Toeplitz slots
-    emb = toeplitz_embedding(n).op
-    embed = Select((4 * n, 2 * m),
-                   np.concatenate([emb.rows, 2 * n + emb.rows]),
-                   np.concatenate([m + emb.cols, emb.cols]),
-                   np.concatenate([emb.vals, emb.vals]))
+    k = np.arange(2 * n)
     # slot j is weight[j] times itself plus gain[j] times slot 2n+1, the
     # Toeplitz branch's frequency 1, which thereby cancels to an empty row;
     # d_k is formed from angles below 2 pi, which keeps it accurate
@@ -244,9 +232,9 @@ def tph_program(n: int) -> BilinearProgram:
     both_sum = Select((2 * n, 4 * n), np.repeat(k, 2),
                       np.stack([k, k + 2 * n], axis=1).reshape(-1))
     return BilinearProgram(
-        # I_2 (x) W: one batched transform of both branches
-        enc_param=compose(shift, Kron([Select.take(2, [0, 1]),
-                                       Fourier(2 * n)]), embed),
+        # [t; h] -> [h; t], then the Toeplitz encoder on each component
+        enc_param=compose(shift, Kron([Select.take(2, [1, 0]),
+                                       tp.enc_param])),
         enc_vec=compose(both_reads, tp.enc_vec),
         dec=compose(tp.dec, both_sum),
         active=active,

@@ -437,6 +437,9 @@ def test_deeply_nested_json_exits_2(tmp_path, deep):
     ["gen", "--structure", "vector", "--n", "2", "--density", "0.5"],
     ["gen", "--structure", "multilevel", "--levels", "circulant:2,toeplitz:2",
      "--density", "0.5"],
+    ["count", "--structure", "circulant", "--n", "2", "--density", "0.5"],
+    ["bench", "--structure", "toeplitz", "--n-max", "4", "--density", "0.5"],
+    ["bench", "--levels", "circulant:2,toeplitz:2", "--density", "0.5"],
 ])
 def test_out_of_range_arguments_exit_2(tmp_path, args):
     r = run_cli(args, tmp_path)

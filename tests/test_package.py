@@ -69,3 +69,16 @@ def test_multilevel_names_no_single_level_structure():
     names |= {alias.name for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert names & single == set()
+
+
+def test_tph_program_builds_no_embedding_or_transform():
+    # Toeplitz-plus-Hankel encodes its parameters with the Toeplitz
+    # program's encoder, so its builder names neither the embedding nor a
+    # transform of its own
+    tree = ast.parse((PACKAGE / "kernels.py").read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "tph_program")
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(body)
+              if isinstance(node, ast.Attribute)}
+    assert names & {"Fourier", "toeplitz_embedding"} == set()

@@ -71,7 +71,8 @@ def toeplitz_with_free_entry(rep, v, b):
     with ``b`` as its free entry, on the zero-padded vector: the Toeplitz
     product for every ``b``."""
     n = rep.n
-    c = kernels.toeplitz_embedding(n).embed(rep.param, b=b)
+    c = kernels.toeplitz_embedding(n).embed(rep.param)
+    c[n] = b
     padded = np.concatenate([v, np.zeros(n)])
     return kernels.direct_matvec(sm.CirculantRep(2 * n, c), padded)[0][:n]
 
