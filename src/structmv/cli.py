@@ -339,11 +339,13 @@ def cmd_apply(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.vector is not None and args.seed is not None:
+        raise FileFormatError("--seed does not apply with a vector file")
     m = matrix_from_obj(load_json(args.matrix))
     if args.vector is not None:
         v = load_vector(args.vector, m)
     else:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(args.seed or 0)
         v = _gaussian(rng, order(m))
     theoretical = param_dim(m)
     # an overflow shows as a non-finite error, which fails the check
@@ -413,21 +415,42 @@ def cmd_bench(args) -> int:
     levels = _parse_levels(args.levels) if args.levels else None
     names = [name for name, _ in levels] if levels else [args.structure]
     density = _sparse_density(args.density, names, args.levels or args.structure)
-    if levels:
-        instances = [("multilevel", gen_matrix(
-            "multilevel", None, rng, density=density, levels=levels))]
-    else:
-        sizes = []
+    sizes = []
+    if not levels:
         n = 2
         while n <= args.n_max:
             sizes.append(n)
             n *= 2
         if not sizes:
             raise FileFormatError(f"--n-max {args.n_max} is below 2")
-        instances = [
-            (args.structure, gen_matrix(args.structure, n, rng, density=density))
-            for n in sizes
-        ]
+    import csv  # only bench writes CSV; the other commands skip the import
+
+    # an unwritable path fails here, before any instance is timed
+    out = open(args.csv, "w", newline="") if args.csv else sys.stdout
+    try:
+        if levels:
+            instances = [("multilevel", gen_matrix(
+                "multilevel", None, rng, density=density, levels=levels))]
+        else:
+            instances = [(args.structure,
+                          gen_matrix(args.structure, n, rng, density=density))
+                         for n in sizes]
+        rows, failures = _time_instances(instances, rng, args.reps)
+        writer = csv.writer(out)
+        writer.writerow(["structure", "N", "method", "wall_time_ns", "mult_count"])
+        writer.writerows(rows)
+    finally:
+        if args.csv:
+            out.close()
+    for line in failures:
+        print(f"mismatch: {line}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _time_instances(instances, rng, reps) -> tuple[list, list]:
+    """CSV rows of the median time of each route on each (name, matrix)
+    instance, each on a vector from ``rng``, and a line per route whose
+    result or count was wrong."""
     rows = []
     failures = []
     for name, m in instances:
@@ -454,7 +477,7 @@ def cmd_bench(args) -> int:
         for method, fn, expected_count in methods:
             fn()  # warm caches before timing
             times, errors, counts = [], [], set()
-            for _ in range(args.reps):
+            for _ in range(reps):
                 t0 = time.perf_counter_ns()
                 result, count = fn()
                 times.append(time.perf_counter_ns() - t0)
@@ -465,19 +488,7 @@ def cmd_bench(args) -> int:
                                 f"{max(errors):.3e}, counts {sorted(counts)}, "
                                 f"want {expected_count}")
             rows.append((name, total, method, int(np.median(times)), count))
-    import csv  # only bench writes CSV; the other commands skip the import
-
-    out = open(args.csv, "w", newline="") if args.csv else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["structure", "N", "method", "wall_time_ns", "mult_count"])
-        writer.writerows(rows)
-    finally:
-        if args.csv:
-            out.close()
-    for line in failures:
-        print(f"mismatch: {line}", file=sys.stderr)
-    return 1 if failures else 0
+    return rows, failures
 
 
 def _positive_int(text: str) -> int:
@@ -543,7 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("matrix")
     ver.add_argument("vector", nargs="?", help="vector file (default: "
                                                "generated from --seed)")
-    ver.add_argument("--seed", type=_seed, default=0)
+    ver.add_argument("--seed", type=_seed,
+                     help="seed of the generated vector (default 0)")
     ver.add_argument("--tol", type=_tolerance, default=1e-9)
     ver.set_defaults(fn=cmd_verify)
 

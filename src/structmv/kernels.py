@@ -11,25 +11,24 @@ vector encoder, one pointwise multiply and its decoder, on a vector or on
 a block of vectors along a trailing axis.
 
 The circulant kernel diagonalizes by the Fourier matrix.  Toeplitz embeds
-into a circulant of twice the order with the free first-row entry chosen as
-minus the parameter sum, which zeroes the frequency-0 slot and saves one
-multiplication; its vector encoder and decoder are single order-2n
-transforms windowed to n columns and n rows.  A Hankel matrix with
-parameters h is the Toeplitz matrix with the same h times the exchange J,
-H_h = T_h J, so the Hankel program is the Toeplitz program after a
-reversal of the input: the Toeplitz family keeps one embedding and one
-parameter encoder, and a Hankel matrix's coefficients are those of the
-Toeplitz matrix with its parameters.  Symmetric forms one product per
-entry pair, a_ij (v_i + v_j), and one per diagonal entry,
-(a_ii - sum_{j != i} a_ij) v_i, with index maps only.
-Toeplitz-plus-Hankel shifts a multiple of the all-ones matrix between its
-two components so that the Toeplitz part's frequency-1 slot vanishes as
-well, saving a second multiplication.  Its parameter encoder is the
-Toeplitz program's own on each component, then the shift as an index map
-on the slots, so the direct route and a multilevel level run it on the
-raw 4n-2 parameters too.  By H_h = T_h J, its Hankel branch reads the
-shared forward transform at -k and weighs each slot by a fixed root of
-unity, so both branches share one forward and one inverse transform.
+into a circulant of twice the order, laid out by ``ToeplitzRep.entry``,
+with the free first-row entry chosen as minus the parameter sum, which
+zeroes the frequency-0 slot and saves one multiplication; its vector
+encoder and decoder are single order-2n transforms windowed to n columns
+and n rows.  Only :func:`toeplitz_embedding` and :func:`toeplitz_program`
+decide that order and embedding.  A Hankel matrix with parameters h is
+the Toeplitz matrix with the same h times the exchange J, H_h = T_h J, so
+the Hankel program is the Toeplitz program after a reversal of the input,
+and a Hankel matrix's coefficients are those of the Toeplitz matrix with
+its parameters.  Symmetric forms one product per entry pair,
+a_ij (v_i + v_j), and one per diagonal entry, (a_ii - sum_{j != i} a_ij)
+v_i, with index maps only.  Toeplitz-plus-Hankel shifts a multiple of the
+all-ones matrix between its two components so that the Toeplitz part's
+frequency-1 slot vanishes as well, saving a second multiplication.  It
+reads its transform order, slots and gains off the Toeplitz program: its
+parameter encoder is the Toeplitz encoder on each component, then the
+shift as an index map on the slots, and by H_h = T_h J its Hankel branch
+reads the shared forward transform at -k, weighed by a root of unity.
 Sparse is the usual support-driven matvec, as one gather, one multiply
 and one segmented sum; a sparse decoder whose rows mostly hold one or two
 entries sums by two gathers instead.  Whether a map applies as a small
@@ -65,9 +64,9 @@ from .structures import (
 class EmbeddingSpec:
     """Embedding of an order-n Toeplitz matrix into an order-2n circulant.
 
-    ``op`` maps the 2n-1 Toeplitz parameters to the circulant's first row
-    (t_n..t_{2n-1}, b, t_1..t_{n-1} in 1-indexed terms) with b = -sum(t),
-    so the first row always sums to zero.
+    ``op`` maps the 2n-1 Toeplitz parameters to the circulant's first row:
+    the matrix's first row, then b = -sum(t), then its first column from
+    the bottom up, so the first row always sums to zero.
     """
 
     n: int
@@ -82,12 +81,12 @@ class EmbeddingSpec:
 
 @lru_cache(maxsize=64)
 def toeplitz_embedding(n: int) -> EmbeddingSpec:
-    rows = np.concatenate([np.arange(n), np.full(2 * n - 1, n),
-                           n + np.arange(1, n)])
-    cols = np.concatenate([n - 1 + np.arange(n), np.arange(2 * n - 1),
-                           np.arange(n - 1)])
-    vals = np.concatenate([np.ones(n), -np.ones(2 * n - 1), np.ones(n - 1)])
-    return EmbeddingSpec(n=n, op=Select((2 * n, 2 * n - 1), rows, cols, vals))
+    d, i = ToeplitzRep.size(n), np.arange(n)
+    rows = np.concatenate([i, np.full(d, n), n + i[1:]])
+    cols = np.concatenate([ToeplitzRep.entry(n, 0, i), np.arange(d),
+                           ToeplitzRep.entry(n, i[:0:-1], 0)])
+    vals = np.concatenate([np.ones(n), -np.ones(d), np.ones(n - 1)])
+    return EmbeddingSpec(n=n, op=Select((2 * n, d), rows, cols, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -196,48 +195,49 @@ def tph_program(n: int) -> BilinearProgram:
     slot vanishes.  The Toeplitz branch has two inactive slots: frequency 0
     from its own embedding and frequency 1 from the shift.
 
+    Every Toeplitz fact is read off ``tp = toeplitz_program(n)``: its
+    transform order N = tp.r, its active slots, its encoder and decoder.
     Both branches share the forward transform X of the padded vector and
-    the Toeplitz decoder, so a product takes one transform each way.  By
-    H_h = T_h J the Hankel branch is a Toeplitz product on the reversed
-    vector, whose transform at slot k is d_k X_{-k}, with
-    d_k = exp(-2*pi*i*(n-1)*k/N) for a transform of any order N; here
-    N = 2n and d_k = (-1)^k w^k with w = exp(i*pi/n).  So the Hankel slots
-    read X at -k and weigh their coefficients by d_k, and the decoder sums
-    the two slot vectors before its one windowed inverse transform.
+    the decoder, so a product takes one transform each way.  By H_h = T_h J
+    the Hankel branch is a Toeplitz product on the reversed vector, whose
+    transform at slot k is d_k X_{-k}, d_k = exp(-2*pi*i*((n-1)k mod N)/N).
+    So the Hankel slots read X at -k and weigh their coefficients by d_k,
+    and the decoder sums the two slot vectors before its one transform.
 
-    The parameter encoder is the Toeplitz encoder W E on h and on t, then
-    the slot map.  With T = W E t and H = W E h, the shift is a = T_1 / (2n),
-    and E 1 is 1 - 2n e_n, so W E 1 = -2n (-1)^k at k != 0 (0 at k = 0).
-    Slot k != 0 of the Toeplitz branch is T_k + (-1)^k T_1, 0 at k = 1, and
-    of the Hankel branch d_k (H_k - (-1)^k T_1) = d_k H_k - w^k T_1.
+    The parameter encoder is tp's encoder on h and on t, then the slot map.
+    With T and H those encodings and g the encoding of the all-ones
+    matrix's parameters, 0 at tp's inactive slots, the shift is
+    a = T_1 / g_1.  With r = g / g_1, slot k of the Toeplitz branch is
+    T_k - r_k T_1, 0 at k = 1, and of the Hankel branch d_k (H_k + r_k T_1).
     """
-    k = np.arange(2 * n)
-    # slot j is weight[j] times itself plus gain[j] times slot 2n+1, the
-    # Toeplitz branch's frequency 1, which thereby cancels to an empty row;
-    # d_k is formed from angles below 2 pi, which keeps it accurate
-    w = np.exp(1j * np.pi * k / n)
-    weight = np.concatenate([(-1.0) ** k * w, np.ones(2 * n)])
-    gain = np.concatenate([-w, (-1.0) ** k])
-    gain[[0, 2 * n]] = 0
-    slots = np.arange(4 * n)
-    shift = Select((4 * n, 4 * n), np.concatenate([slots, slots]),
-                   np.concatenate([slots, np.full(4 * n, 2 * n + 1)]),
-                   np.concatenate([weight, gain]))
     tp = toeplitz_program(n)
-    active = np.concatenate([tp.active, tp.active])
-    active[2 * n + 1] = False  # frequency 1 of the Toeplitz branch
+    N = tp.r
+    k = np.arange(N)
+    g = np.where(tp.active, tp.enc_param @ np.ones(tp.d_param), 0)
+    r = g / g[1]
+    # d_k is formed from angles below 2 pi, which keeps it accurate
+    d = np.exp(-2j * np.pi * ((n - 1) * k % N) / N)
+    # slot j is weight[j] times itself plus gain[j] times slot N+1, the
+    # Toeplitz frequency 1, whose row is dropped: r_1 may not round to 1
+    weight = np.concatenate([d, np.ones(N)])
+    gain = np.concatenate([d * r, -r])
+    weight[N + 1] = gain[N + 1] = 0
+    slots = np.arange(2 * N)
+    shift = Select((2 * N, 2 * N), np.concatenate([slots, slots]),
+                   np.concatenate([slots, np.full(2 * N, N + 1)]),
+                   np.concatenate([weight, gain]))
     # the Hankel slots read X[-k], the Toeplitz slots X[k]; [I I] sums
     # slot k of each branch into row k
-    both_reads = Select.take(2 * n, np.concatenate([-k % (2 * n), k]))
-    both_sum = Select((2 * n, 4 * n), np.repeat(k, 2),
-                      np.stack([k, k + 2 * n], axis=1).reshape(-1))
+    both_reads = Select.take(N, np.concatenate([-k % N, k]))
+    both_sum = Select.take(N, np.tile(k, 2)).T
     return BilinearProgram(
         # [t; h] -> [h; t], then the Toeplitz encoder on each component
         enc_param=compose(shift, Kron([Select.take(2, [1, 0]),
                                        tp.enc_param])),
         enc_vec=compose(both_reads, tp.enc_vec),
         dec=compose(tp.dec, both_sum),
-        active=active,
+        # frequency 1 of the Toeplitz branch is inactive too
+        active=np.concatenate([tp.active, tp.active & (k != 1)]),
     )
 
 

@@ -164,6 +164,23 @@ def test_verify_generated_instance_passes(tmp_path):
     assert "PASS" in r.stdout
 
 
+def test_verify_refuses_a_seed_with_a_vector_file(tmp_path):
+    # the seed only draws the vector that a vector file would replace
+    mat = _write(tmp_path, "c.json",
+                 {"structure": "circulant", "n": 2, "param": [[1, 0], [2, 0]]})
+    vec = _vector_file(tmp_path, "v.json", [1, 2j])
+    r = run_cli(["verify", mat, vec, "--seed", "3"], tmp_path)
+    assert r.returncode == 2 and r.stdout == ""
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "--seed" in lines[0]
+    seeded = run_cli(["verify", mat, "--seed", "7"], tmp_path)
+    assert seeded.returncode == 0 and "PASS" in seeded.stdout
+    default, zero = (run_cli(["verify", mat, *seed], tmp_path)
+                     for seed in ([], ["--seed", "0"]))
+    assert default.returncode == 0 and default.stdout == zero.stdout
+
+
 def test_verify_corrupted_file_exits_2(tmp_path):
     mat = _write(tmp_path, "bad.json", {
         "structure": "toeplitz", "n": 3,
@@ -361,6 +378,18 @@ def test_bench_fails_on_a_wrong_result(tmp_path, monkeypatch, capsys, instance):
     err = capsys.readouterr().err
     assert "structured-direct" in err and "mismatch" in err
     assert "structured-program" not in err
+
+
+def test_bench_opens_its_csv_before_timing(tmp_path, monkeypatch, capsys):
+    def no_prepare(m):
+        raise AssertionError("an instance was prepared")
+
+    monkeypatch.setattr(multilevel, "prepare", no_prepare)
+    code = cli.main(["bench", "--structure", "toeplitz", "--n-max", "4",
+                     "--csv", str(tmp_path / "missing" / "b.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_bench_rejects_reps_below_one(tmp_path):

@@ -369,6 +369,45 @@ def test_tph_gauge_shift_is_a_slot_index_map():
         assert coef[2 * n + 1] == 0
 
 
+def _toeplitz_program_of_order(n, N):
+    """A Toeplitz program over an order-N circulant, N >= 2n - 1: its first
+    row is the matrix's first row, then b = -sum(t), then N - 2n zeros,
+    then the matrix's first column from the bottom up."""
+    i = np.arange(n)
+    emb = np.zeros((N, 2 * n - 1))
+    emb[i, sm.ToeplitzRep.entry(n, 0, i)] = 1
+    emb[N - n + i[1:], sm.ToeplitzRep.entry(n, i[:0:-1], 0)] = 1
+    emb[n] -= 1
+    return bilinear.BilinearProgram(
+        enc_param=transform.fourier_matrix(N) @ emb,
+        enc_vec=operators.Fourier(N, conj=True, cols=n),
+        dec=operators.Fourier(N, scale=1 / N, rows=n),
+        active=np.arange(N) != 0,
+    )
+
+
+@pytest.mark.parametrize("n, N", [(5, 12), (33, 70), (40, 100)])
+def test_tph_reads_the_toeplitz_transform_order(monkeypatch, n, N):
+    # the Toeplitz-plus-Hankel builder takes the transform order, the slots
+    # and the gains from the Toeplitz program, so it runs on one of any order
+    tp = _toeplitz_program_of_order(n, N)
+    monkeypatch.setattr(kernels, "toeplitz_program", lambda order: tp)
+    kernels.tph_program.cache_clear()
+    try:
+        program = kernels.tph_program(n)
+    finally:
+        kernels.tph_program.cache_clear()
+    rng = np.random.default_rng(N)
+    m = random_instance("toeplitz_plus_hankel", n, rng)
+    params, v = m.params, gaussian(rng, n)
+    got, count = bilinear.apply(program, params, v)
+    assert rel_err(got, oracle.dense(m) @ v) < 1e-9
+    assert program.r == 2 * N and count == 2 * (N - 1) - 1
+    report = bilinear.prune_check(program)
+    assert report.match and report.measured == count
+    assert (program.enc_param @ params)[N + 1] == 0
+
+
 def test_tph_gauge_shift_preserves_sum():
     rng = np.random.default_rng(6)
     n = 4

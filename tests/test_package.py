@@ -82,3 +82,26 @@ def test_tph_program_builds_no_embedding_or_transform():
     names |= {node.attr for node in ast.walk(body)
               if isinstance(node, ast.Attribute)}
     assert names & {"Fourier", "toeplitz_embedding"} == set()
+
+
+def test_tph_and_the_embedding_restate_no_toeplitz_layout():
+    # tph_program reads its transform order off the Toeplitz program, so
+    # it multiplies no integer constant by n; toeplitz_embedding lays out
+    # the first row by ToeplitzRep.entry
+    tree = ast.parse((PACKAGE / "kernels.py").read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)}
+    multiples = [
+        ast.unparse(node) for node in ast.walk(bodies["tph_program"])
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and {_kind(node.left), _kind(node.right)} == {"int", "n"}]
+    assert multiples == []
+    names = {node.id for node in ast.walk(bodies["toeplitz_embedding"])
+             if isinstance(node, ast.Name)}
+    assert "ToeplitzRep" in names
+
+
+def _kind(node) -> str:
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return "int"
+    return "n" if isinstance(node, ast.Name) and node.id == "n" else "other"
